@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .words import Word, concat, invert, support, word
+from .words import Word, _reduce, concat, invert, support, word
 
 __all__ = [
     "FreeEndo",
@@ -78,14 +78,14 @@ class FreeEndo:
                 raise ValueError("fixed images must be omitted; use free_endo()")
 
     @cached_property
-    def _imap(self) -> dict[int, tuple[int, ...]]:
-        return {i: img.letters for i, img in self.images}
+    def _imap(self) -> dict[int, Word]:
+        return dict(self.images)
 
     def image(self, i: int) -> Word:
         if not 1 <= i <= self.rank:
             raise ValueError(f"index {i} outside rank {self.rank}")
-        letters = self._imap.get(i)
-        return Word(letters) if letters is not None else Word((i,))
+        img = self._imap.get(i)
+        return Word((i,)) if img is None else img
 
     def moved_indices(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.images)
@@ -106,32 +106,26 @@ def identity_endo(rank: int) -> FreeEndo:
 def apply(phi: FreeEndo, w: Word) -> Word:
     """Substitute generator images through w and reduce."""
     imap = phi._imap
-    out: list[int] = []
+    pieces: list[tuple[int, ...]] = []
     for v in w.letters:
         i = abs(v)
         if i > phi.rank:
             raise ValueError(f"letter x{i} outside rank {phi.rank}")
         img = imap.get(i)
         if img is None:
-            seq = (v,)
-        elif v > 0:
-            seq = img
+            pieces.append((v,))
         else:
-            seq = tuple(-u for u in reversed(img))
-        for u in seq:
-            if out and out[-1] == -u:
-                out.pop()
-            else:
-                out.append(u)
-    return Word(tuple(out))
+            pieces.append(img.letters if v > 0 else invert(img).letters)
+    return Word(_reduce(pieces))
 
 
 def compose(phi: FreeEndo, psi: FreeEndo) -> FreeEndo:
     """(phi . psi)(x) = phi(psi(x))."""
     if phi.rank != psi.rank:
         raise RankMismatch(f"ranks differ: {phi.rank} vs {psi.rank}")
-    touched = set(psi._imap) | set(phi._imap)
-    images = {i: apply(phi, psi.image(i)) for i in touched}
+    # psi fixes every other x_i, which phi sends to its stored image
+    images = dict(phi.images)
+    images.update((i, apply(phi, img)) for i, img in psi.images)
     return free_endo(phi.rank, images)
 
 

@@ -17,8 +17,9 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from multiprocessing import Pool
+from pathlib import Path
 
 from . import autom, bns, finc, graphs, johnson, magnus, words
 
@@ -224,7 +225,7 @@ def suite_kmm_raag(params: dict) -> SuiteReport:
     report = SuiteReport("kmm-raag", dict(params))
     graph_file = params.get("graph")
     if graph_file:
-        graph = bns.raag_from_text(open(graph_file).read())
+        graph = bns.raag_from_text(Path(graph_file).read_text())
 
         def run():
             sweep = _sweep_one(graph)
@@ -297,11 +298,17 @@ def suite_kmm_raag(params: dict) -> SuiteReport:
 
 
 def _all_signed_permutation_lifts(n: int):
-    from itertools import permutations
-
     for perm in permutations(range(1, n + 1)):
         for signs in product((1, -1), repeat=n):
-            yield perm, signs
+            yield autom.signed_permutation_lift(n, perm, signs)
+
+
+def _all_transvection_lifts(n: int):
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            if a != b:
+                for sign in (1, -1):
+                    yield autom.transvection_lift(n, a, b, sign)
 
 
 def sample_functionals(n: int, count: int, seed: int) -> list[johnson.H1Functional]:
@@ -388,12 +395,11 @@ def suite_johnson(params: dict) -> SuiteReport:
             "expected": want,
         }
 
-    def run_equivariance_perms():
+    def run_equivariance(lifts):
         bad = 0
         total = 0
         taus = [johnson.tau(g.realized) for g in gens]
-        for perm, signs in _all_signed_permutation_lifts(n):
-            lift = autom.signed_permutation_lift(n, perm, signs)
+        for lift in lifts:
             m = autom.abelianized_matrix(lift.fwd)
             minv = johnson.mat_inverse_unimodular(m)
             for g, tg in zip(gens, taus):
@@ -401,29 +407,6 @@ def suite_johnson(params: dict) -> SuiteReport:
                 lhs = johnson.tau(lift.conj_endo(g.realized))
                 if lhs != johnson.glnz_action(m, tg, minv):
                     bad += 1
-        return bad == 0, {
-            "summary": f"{total} lift/generator pairs",
-            "checks": total,
-            "failures": bad,
-        }
-
-    def run_equivariance_transvections():
-        bad = 0
-        total = 0
-        taus = [johnson.tau(g.realized) for g in gens]
-        for a in range(1, n + 1):
-            for b in range(1, n + 1):
-                if a == b:
-                    continue
-                for sign in (1, -1):
-                    lift = autom.transvection_lift(n, a, b, sign)
-                    m = autom.abelianized_matrix(lift.fwd)
-                    minv = johnson.mat_inverse_unimodular(m)
-                    for g, tg in zip(gens, taus):
-                        total += 1
-                        lhs = johnson.tau(lift.conj_endo(g.realized))
-                        if lhs != johnson.glnz_action(m, tg, minv):
-                            bad += 1
         return bad == 0, {
             "summary": f"{total} lift/generator pairs",
             "checks": total,
@@ -455,8 +438,16 @@ def suite_johnson(params: dict) -> SuiteReport:
     _timed(report, "tau-goldens", run_goldens)
     _timed(report, "tau-additivity", run_additivity)
     _timed(report, "h1-rank", run_rank)
-    _timed(report, "equivariance-signed-perms", run_equivariance_perms)
-    _timed(report, "equivariance-transvections", run_equivariance_transvections)
+    _timed(
+        report,
+        "equivariance-signed-perms",
+        lambda: run_equivariance(_all_signed_permutation_lifts(n)),
+    )
+    _timed(
+        report,
+        "equivariance-transvections",
+        lambda: run_equivariance(_all_transvection_lifts(n)),
+    )
     _timed(report, "tilt-search", run_tilt)
     return report
 
@@ -533,6 +524,15 @@ def run_suite(name: str, params: dict) -> SuiteReport:
     return SUITES[name](params)
 
 
+def _jobs(text: str) -> int:
+    """A worker count between 1 and the number of CPUs."""
+    jobs = int(text)
+    limit = os.cpu_count() or 1
+    if not 1 <= jobs <= limit:
+        raise argparse.ArgumentTypeError(f"must be between 1 and {limit}, got {jobs}")
+    return jobs
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lcsforge", description="verification suites"
@@ -568,7 +568,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=0, help="ambient rank (default 3k)")
     p.add_argument("--cutoff", type=int, default=0, help="series cutoff (default k+2)")
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1, help="worker processes (1 to CPU count)")
 
     return parser
 
@@ -578,7 +578,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     params = {k: v for k, v in vars(args).items() if k not in ("suite", "json")}
     if args.suite == "johnson":
-        params["seed"] = int(os.environ.get("LCSFORGE_SEED", DEFAULT_SEED))
+        seed = os.environ.get("LCSFORGE_SEED", str(DEFAULT_SEED))
+        try:
+            params["seed"] = int(seed)
+        except ValueError:
+            print(f"error: LCSFORGE_SEED must be an integer, got {seed!r}", file=sys.stderr)
+            return 2
     try:
         report = run_suite(args.suite, params)
     except (ValueError, OSError) as exc:

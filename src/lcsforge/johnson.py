@@ -186,29 +186,18 @@ def elementary_matrix(n: int, i: int, j: int, sign: int = 1) -> IntMatrix:
 
 
 def mat_inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix of determinant +-1 (integer entries)."""
+    """Exact inverse of a matrix of determinant +-1 (integer entries); an
+    integer matrix is unimodular exactly when its inverse is integral."""
     n = len(m)
-    a = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    if det not in (1, -1):
-        raise ValueError(f"matrix is not unimodular (det {det})")
-    out = tuple(tuple(int(v) for v in row[n:]) for row in a)
-    return out
+    rows, _ = _row_reduce(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    )
+    if any(rows[i][i] != 1 for i in range(n)):
+        raise ValueError("matrix is singular")
+    inverse = [row[n:] for row in rows]
+    if any(v.denominator != 1 for row in inverse for v in row):
+        raise ValueError("matrix is not unimodular (its inverse is not integral)")
+    return tuple(tuple(int(v) for v in row) for row in inverse)
 
 
 def glnz_action(m: IntMatrix, v: H1Vector, m_inv: IntMatrix | None = None) -> H1Vector:
@@ -409,19 +398,22 @@ def tilt_search(
 
 
 # ---------------------------------------------------------------------------
-# Exact rank over the rationals
+# Exact elimination over the rationals
 
 
-def rational_rank(rows: Iterable[Sequence[Fraction | int]]) -> int:
-    """Row-echelon rank with exact fraction arithmetic."""
+def _row_reduce(
+    rows: Iterable[Sequence[Fraction | int]],
+) -> tuple[list[list[Fraction]], int]:
+    """Gauss-Jordan elimination with exact fractions: the reduced row echelon
+    form and the rank; the first ``rank`` rows hold the pivots."""
     work = [[Fraction(v) for v in row] for row in rows]
     rank = 0
-    col = 0
     width = len(work[0]) if work else 0
-    while rank < len(work) and col < width:
+    for col in range(width):
+        if rank == len(work):
+            break
         piv = next((r for r in range(rank, len(work)) if work[r][col]), None)
         if piv is None:
-            col += 1
             continue
         work[rank], work[piv] = work[piv], work[rank]
         inv = 1 / work[rank][col]
@@ -431,8 +423,12 @@ def rational_rank(rows: Iterable[Sequence[Fraction | int]]) -> int:
                 f = work[r][col]
                 work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
         rank += 1
-        col += 1
-    return rank
+    return work, rank
+
+
+def rational_rank(rows: Iterable[Sequence[Fraction | int]]) -> int:
+    """Row-echelon rank with exact fraction arithmetic."""
+    return _row_reduce(rows)[1]
 
 
 def format_h1(v: H1Vector | H1Functional) -> dict[str, str]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from .autom import FreeEndo, ia_check
 from .words import Word, commutator, concat, word
@@ -77,13 +78,17 @@ def series_one(cutoff: int) -> TruncatedSeries:
     return _freeze({(): 1}, cutoff)
 
 
-def _mul_dicts(a: dict[Monomial, int], b: dict[Monomial, int], cutoff: int):
+def _mul_dicts(
+    a: dict[Monomial, int], b: Sequence[tuple[Monomial, int]], cutoff: int
+) -> dict[Monomial, int]:
+    """The truncated product a * b; b is a sequence of (monomial, coefficient)
+    pairs in nondecreasing degree, so each row stops at the cutoff."""
     out: dict[Monomial, int] = {}
     for ma, ca in a.items():
         room = cutoff - len(ma)
-        for mb, cb in b.items():
+        for mb, cb in b:
             if len(mb) > room:
-                continue
+                break
             key = ma + mb
             v = out.get(key, 0) + ca * cb
             if v:
@@ -96,39 +101,18 @@ def _mul_dicts(a: dict[Monomial, int], b: dict[Monomial, int], cutoff: int):
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     if a.cutoff != b.cutoff:
         raise ValueError("cutoff mismatch")
-    return _freeze(_mul_dicts(a.as_dict(), b.as_dict(), a.cutoff), a.cutoff)
+    by_degree = sorted(b.terms, key=lambda t: len(t[0]))
+    return _freeze(_mul_dicts(a.as_dict(), by_degree, a.cutoff), a.cutoff)
 
 
-def _mul_letter(
-    terms: dict[Monomial, int], letter: int, cutoff: int
-) -> dict[Monomial, int]:
-    """Right-multiply by the letter series: 1 + X_i for a generator, the
-    truncated alternating series for an inverse."""
+@lru_cache(maxsize=None)
+def _letter_series(letter: int, cutoff: int) -> tuple[tuple[Monomial, int], ...]:
+    """The series of one letter in nondecreasing degree: 1 + X_i for a
+    generator, the alternating geometric series for an inverse."""
     i = abs(letter)
-    out: dict[Monomial, int] = {}
-
-    def acc(key: Monomial, val: int) -> None:
-        v = out.get(key, 0) + val
-        if v:
-            out[key] = v
-        elif key in out:
-            del out[key]
-
     if letter > 0:
-        for m, c in terms.items():
-            acc(m, c)
-            if len(m) < cutoff:
-                acc(m + (i,), c)
-    else:
-        for m, c in terms.items():
-            acc(m, c)
-            tail = m
-            sign = 1
-            for _ in range(cutoff - len(m)):
-                tail = tail + (i,)
-                sign = -sign
-                acc(tail, sign * c)
-    return out
+        return (((), 1), ((i,), 1))
+    return tuple(((i,) * d, (-1) ** d) for d in range(cutoff + 1))
 
 
 def magnus_embed(w: Word, cutoff: int) -> TruncatedSeries:
@@ -137,7 +121,7 @@ def magnus_embed(w: Word, cutoff: int) -> TruncatedSeries:
         raise ValueError("cutoff must be >= 1")
     terms: dict[Monomial, int] = {(): 1}
     for v in w.letters:
-        terms = _mul_letter(terms, v, cutoff)
+        terms = _mul_dicts(terms, _letter_series(v, cutoff), cutoff)
     return _freeze(terms, cutoff)
 
 

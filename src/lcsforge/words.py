@@ -53,16 +53,22 @@ def _encode(letter: Letter) -> int:
     return v
 
 
+def _reduce(pieces: Iterable[Iterable[int]]) -> tuple[int, ...]:
+    """The free-reduction loop: freely reduce the concatenation of the
+    encoded letter sequences."""
+    stack: list[int] = []
+    for piece in pieces:
+        for v in piece:
+            if stack and stack[-1] == -v:
+                stack.pop()
+            else:
+                stack.append(v)
+    return tuple(stack)
+
+
 def reduce_letters(letters: Iterable[Letter]) -> tuple[int, ...]:
     """Freely reduce a letter sequence; the result has no adjacent v, -v pair."""
-    stack: list[int] = []
-    for raw in letters:
-        v = _encode(raw)
-        if stack and stack[-1] == -v:
-            stack.pop()
-        else:
-            stack.append(v)
-    return tuple(stack)
+    return _reduce((map(_encode, letters),))
 
 
 @dataclass(frozen=True)
@@ -102,14 +108,7 @@ def word(letters: Iterable[Letter]) -> Word:
 
 
 def concat(*words: Word) -> Word:
-    out: list[int] = []
-    for w in words:
-        for v in w.letters:
-            if out and out[-1] == -v:
-                out.pop()
-            else:
-                out.append(v)
-    return Word(tuple(out))
+    return Word(_reduce(w.letters for w in words))
 
 
 def invert(u: Word) -> Word:

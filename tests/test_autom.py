@@ -27,7 +27,7 @@ from lcsforge.autom import (
     signed_permutation_lift,
     transvection_lift,
 )
-from lcsforge.words import Word, concat, parse_word, word
+from lcsforge.words import EPSILON, Word, concat, parse_word, reduce_letters, word
 
 
 def all_magnus_tokens(n):
@@ -92,6 +92,42 @@ def test_apply_is_homomorphism():
         u = word(rng.choice([1, -1]) * rng.randint(1, 4) for _ in range(8))
         v = word(rng.choice([1, -1]) * rng.randint(1, 4) for _ in range(8))
         assert apply(phi, concat(u, v)) == concat(apply(phi, u), apply(phi, v))
+
+
+def naive_reduce(letters):
+    """Independent reducer: delete an adjacent v, -v pair until none is left."""
+    out = list(letters)
+    k = 0
+    while k < len(out) - 1:
+        if out[k] == -out[k + 1]:
+            del out[k : k + 2]
+            k = 0
+        else:
+            k += 1
+    return tuple(out)
+
+
+def test_reduction_kernels_match_naive_reducer():
+    rng = random.Random(25)
+
+    def letters(max_len):
+        return [rng.choice([1, -1]) * rng.randint(1, 3) for _ in range(rng.randint(0, max_len))]
+
+    # x2 goes to the identity, so its image must be EPSILON, not x2
+    collapse = free_endo(3, {2: EPSILON, 3: word([1, 3, -1])})
+    assert collapse.image(2) == EPSILON
+    assert collapse.image(1) == word([1])
+    for _ in range(200):
+        raw = letters(16)
+        assert reduce_letters(raw) == naive_reduce(raw)
+        u, v = word(letters(8)), word(letters(8))
+        assert concat(u, v).letters == naive_reduce(u.letters + v.letters)
+        for phi in (collapse, random_ia(rng, 3).realized):
+            substituted = []
+            for x in u.letters:
+                img = phi.image(abs(x)).letters
+                substituted += img if x > 0 else [-y for y in reversed(img)]
+            assert apply(phi, u).letters == naive_reduce(substituted)
 
 
 def test_apply_rejects_support_overflow():

@@ -1,8 +1,11 @@
+import gc
 import json
+import os
+import warnings
 
 import pytest
 
-from lcsforge.cli import main, run_suite
+from lcsforge.cli import _build_parser, main, run_suite
 
 
 def strip_times(payload):
@@ -74,7 +77,11 @@ def test_normal_gens_sharded_matches_serial():
 def test_kmm_raag_graph_file(tmp_path):
     path = tmp_path / "cycle.graph"
     path.write_text("4\n1 2\n2 3\n3 4\n1 4\n")
-    report = run_suite("kmm-raag", {"graph": str(path)})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = run_suite("kmm-raag", {"graph": str(path)})
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     assert report.passed
     detail = report.checks[0].detail
     assert detail["characters"] == 255
@@ -93,7 +100,7 @@ def test_unknown_suite_rejected():
         run_suite("nope", {})
 
 
-def test_main_exit_codes(tmp_path, capsys):
+def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["depth", "--word", "x1.x2.X1.X2", "--cutoff", "4"]) == 0
     out = capsys.readouterr().out
     assert "depth 2" in out
@@ -103,6 +110,21 @@ def test_main_exit_codes(tmp_path, capsys):
         main(["no-such-suite"])
     assert exc.value.code == 2
     assert main(["kmm-raag", "--graph", str(tmp_path / "missing.graph")]) == 2
+    monkeypatch.setenv("LCSFORGE_SEED", "abc")
+    assert main(["johnson", "--n", "2", "--budget", "1"]) == 2
+    assert "error: LCSFORGE_SEED must be an integer" in capsys.readouterr().err
+
+
+def test_jobs_range_checked_at_parsing(capsys):
+    cpus = os.cpu_count() or 1
+    for jobs in ("0", "-3", str(cpus + 1), "100000", "two"):
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(["normal-gens", "--k", "1", "--jobs", jobs])
+        assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    for jobs in (1, cpus):
+        args = _build_parser().parse_args(["normal-gens", "--k", "1", "--jobs", str(jobs)])
+        assert args.jobs == jobs
 
 
 def test_json_report_deterministic(tmp_path):

@@ -88,11 +88,27 @@ def test_embed_commutator_golden():
     assert got.as_dict() == oracle_embed(commutator(word([1]), word([2])), 3)
 
 
+def run_word(rng, max_runs=6, alphabet=3):
+    """A word built from runs of one signed letter, so inverse letters come
+    in powers whose series reach past the cutoff."""
+    letters = []
+    for _ in range(rng.randint(0, max_runs)):
+        letters += [rng.choice([1, -1]) * rng.randint(1, alphabet)] * rng.randint(1, 4)
+    return word(letters)
+
+
 def test_embed_matches_oracle():
     rng = random.Random(30)
-    for _ in range(60):
-        w = random_word(rng)
-        assert magnus_embed(w, 4).as_dict() == oracle_embed(w, 4)
+    for cutoff in (3, 4, 5):
+        for _ in range(40):
+            u = random_word(rng, max_len=20)
+            v = run_word(rng)
+            for w in (u, v):
+                assert magnus_embed(w, cutoff).as_dict() == oracle_embed(w, cutoff)
+            su, sv = magnus_embed(u, cutoff), magnus_embed(v, cutoff)
+            assert series_mul(su, sv).as_dict() == naive_mul(
+                su.as_dict(), sv.as_dict(), cutoff
+            )
 
 
 def test_embed_multiplicative():
