@@ -193,6 +193,16 @@ class IAGenerator:
             return frozenset((self.a, self.b))
         return frozenset((self.a, self.b, self.c))
 
+    def image_letters(self) -> tuple[int, ...]:
+        """The letters of the image of x_a, the one generator moved:
+        u x_a u^-1 with u = x_b^sign for K, x_a [p, q] for M, where
+        (p, q) = (x_b, x_c), or (x_c, x_b) for the inverse move."""
+        if self.kind == "conj":
+            u = self.sign * self.b
+            return (u, self.a, -u)
+        p, q = (self.b, self.c) if self.sign > 0 else (self.c, self.b)
+        return (self.a, p, q, -p, -q)
+
     def inverse(self) -> "IAGenerator":
         return IAGenerator(self.kind, self.a, self.b, self.c, -self.sign)
 
@@ -218,17 +228,7 @@ def realize_generator(g: IAGenerator, rank: int) -> FreeEndo:
     performs; the sign -1 form is the explicit two-sided inverse."""
     if any(i > rank for i in g.indices):
         raise ValueError(f"generator {g.token()} exceeds rank {rank}")
-    if g.kind == "conj":
-        if g.sign > 0:
-            img = word([g.b, g.a, -g.b])
-        else:
-            img = word([-g.b, g.a, g.b])
-    else:
-        if g.sign > 0:
-            img = word([g.a, g.b, g.c, -g.b, -g.c])
-        else:
-            img = word([g.a, g.c, g.b, -g.c, -g.b])
-    return free_endo(rank, {g.a: img})
+    return free_endo(rank, {g.a: Word(g.image_letters())})
 
 
 @dataclass(frozen=True)

@@ -460,7 +460,7 @@ def _levels_chunk(args):
     items, cutoff, k = args
     out = []
     for w, completion in items:
-        level = magnus.johnson_level(w.realized, cutoff)
+        level = magnus.johnson_level(w, cutoff)
         ok = level is None or level >= k
         out.append((finc.format_token(w), list(completion), ok, level))
     return out

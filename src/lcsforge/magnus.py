@@ -9,15 +9,31 @@ valid for every k up to the cutoff.
 
 Monomials are tuples of generator indices; a series keeps all monomials of
 length <= cutoff and discards anything longer.
+
+Because the embedding is multiplicative, an endomorphism phi acts on the
+truncated series by substituting series(phi(x_j)) - 1 for X_j, and the
+Magnus map is a homomorphism Aut(F_n) -> Aut(Z<<X>>/deg > cutoff)
+(Magnus-Karrass-Solitar, *Combinatorial Group Theory*, ch. 5).  So the series
+of the images under a product of automorphisms can be built one factor at a
+time.  ``johnson_level`` takes two routes:
+
+* an ``IAWord`` (a word in Magnus generators) by generator substitution: the
+  series of phi(x_j) are built generator by generator from short products
+  (``_substituted_series``); only the IA check reads the realized images;
+* a ``FreeEndo``, which carries no generator word, by embedding each image
+  word letter by letter through ``magnus_embed``.
+
+The letter route stays as the independent check: the tests compare both
+routes on seeded random IA words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
-from .autom import FreeEndo, ia_check
+from .autom import FreeEndo, IAWord, ia_check
 from .words import Word, commutator, concat, word
 
 __all__ = [
@@ -37,6 +53,8 @@ __all__ = [
 ]
 
 Monomial = tuple[int, ...]
+# (monomial, coefficient) pairs in nondecreasing degree
+Series = Sequence[tuple[Monomial, int]]
 
 
 @dataclass(frozen=True)
@@ -79,12 +97,14 @@ def series_one(cutoff: int) -> TruncatedSeries:
 
 
 def _mul_dicts(
-    a: dict[Monomial, int], b: Sequence[tuple[Monomial, int]], cutoff: int
+    a: Iterable[tuple[Monomial, int]],
+    b: Sequence[tuple[Monomial, int]],
+    cutoff: int,
 ) -> dict[Monomial, int]:
-    """The truncated product a * b; b is a sequence of (monomial, coefficient)
-    pairs in nondecreasing degree, so each row stops at the cutoff."""
+    """The truncated product a * b of two (monomial, coefficient) sequences;
+    b is in nondecreasing degree, so each row stops at the cutoff."""
     out: dict[Monomial, int] = {}
-    for ma, ca in a.items():
+    for ma, ca in a:
         room = cutoff - len(ma)
         for mb, cb in b:
             if len(mb) > room:
@@ -102,11 +122,11 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     if a.cutoff != b.cutoff:
         raise ValueError("cutoff mismatch")
     by_degree = sorted(b.terms, key=lambda t: len(t[0]))
-    return _freeze(_mul_dicts(a.as_dict(), by_degree, a.cutoff), a.cutoff)
+    return _freeze(_mul_dicts(a.terms, by_degree, a.cutoff), a.cutoff)
 
 
 @lru_cache(maxsize=None)
-def _letter_series(letter: int, cutoff: int) -> tuple[tuple[Monomial, int], ...]:
+def _letter_series(letter: int, cutoff: int) -> Series:
     """The series of one letter in nondecreasing degree: 1 + X_i for a
     generator, the alternating geometric series for an inverse."""
     i = abs(letter)
@@ -115,13 +135,42 @@ def _letter_series(letter: int, cutoff: int) -> tuple[tuple[Monomial, int], ...]
     return tuple(((i,) * d, (-1) ** d) for d in range(cutoff + 1))
 
 
+def _product(factors: Sequence[Series], cutoff: int) -> dict[Monomial, int]:
+    """The truncated product of series, each in nondecreasing degree."""
+    if not factors:
+        return {(): 1}
+    terms = dict(factors[0])
+    for f in factors[1:]:
+        terms = _mul_dicts(terms.items(), f, cutoff)
+    return terms
+
+
+def _by_degree(terms: dict[Monomial, int]) -> Series:
+    # a list: CPython keeps freed tuples shorter than 20 items on per-length
+    # free lists, where the many short-lived series of level computations
+    # would hold on to memory
+    monos = sorted(terms, key=len)
+    return list(zip(monos, map(terms.__getitem__, monos)))
+
+
+def _add(
+    out: dict[Monomial, int], terms: dict[Monomial, int], sign: int = 1
+) -> dict[Monomial, int]:
+    """out + sign * terms, in place."""
+    for mono, coeff in terms.items():
+        v = out.get(mono, 0) + sign * coeff
+        if v:
+            out[mono] = v
+        else:
+            del out[mono]
+    return out
+
+
 def magnus_embed(w: Word, cutoff: int) -> TruncatedSeries:
     """The truncated Magnus series of w; multiplicative up to truncation."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    terms: dict[Monomial, int] = {(): 1}
-    for v in w.letters:
-        terms = _mul_dicts(terms, _letter_series(v, cutoff), cutoff)
+    terms = _product([_letter_series(v, cutoff) for v in w.letters], cutoff)
     return _freeze(terms, cutoff)
 
 
@@ -135,20 +184,122 @@ def lcs_depth(w: Word, cutoff: int) -> int | None:
     return magnus_embed(w, cutoff).min_positive_degree()
 
 
-def johnson_level(phi: FreeEndo, cutoff: int) -> int | None:
+def _bracket(x: Series, y: Series, cutoff: int) -> Series:
+    """xy - yx = [x - 1, y - 1] for series with constant term 1, which come
+    first in degree order."""
+    x1, y1 = x[1:], y[1:]
+    return _by_degree(_add(_product((x1, y1), cutoff), _product((y1, x1), cutoff), -1))
+
+
+def _substituted_series(phi: IAWord, cutoff: int) -> dict[int, Series]:
+    """The series of phi(x_j) for every j some generator of phi moves.
+
+    The Magnus map is multiplicative and (psi g)(x_a) = psi(g(x_a)), so along
+    phi = g_1...g_L the step of g_t replaces the series of x_a and of x_a^-1
+    by products of the current series of the letters of g_t(x_a).  A Magnus
+    generator sends x_a to a conjugate u x_a u^-1 or to x_a [p, q]; with
+    [A, B] = AB - BA the products are taken as
+
+        u y u^-1        = y + [u, y] u^-1               (y = x_a or x_a^-1)
+        x_a [p, q]      = x_a + x_a [p, q] p^-1 q^-1
+        (x_a [p, q])^-1 = x_a^-1 - [p, q] q^-1 p^-1 x_a^-1
+
+    whose correction terms start in degree 2, so the partial products never
+    carry the low-degree terms that cancel.  A backward pass first marks the
+    series a later step or the result reads; the others are never built.
+    """
+    moves = [(g.a, g.image_letters()) for g in phi.gens]
+    moved = {a for a, _ in moves}
+    live = set(moved)
+    wanted = []
+    for a, letters in reversed(moves):
+        reads = {v for u in letters if abs(u) != a for v in (u, -u)}
+        want = [y for y in (a, -a) if y in live]
+        live -= {a, -a}
+        for y in want:
+            live |= reads | {y}
+        wanted.append(want)
+    wanted.reverse()
+
+    series: dict[int, Series] = {}
+
+    def current(v: int) -> Series:
+        found = series.get(v)
+        return _letter_series(v, cutoff) if found is None else found
+
+    for (a, letters), want in zip(moves, wanted):
+        new = {}
+        if len(letters) == 3:  # u x_a u^-1
+            u = letters[0]
+            for y in want:
+                uy = _bracket(current(u), current(y), cutoff)
+                new[y] = _add(dict(current(y)), _product((uy, current(-u)), cutoff))
+        elif want:  # x_a p q p^-1 q^-1
+            p, q = letters[1], letters[2]
+            pq = _bracket(current(p), current(q), cutoff)
+            if a in want:
+                fix = _product((current(a), pq, current(-p), current(-q)), cutoff)
+                new[a] = _add(dict(current(a)), fix)
+            if -a in want:
+                fix = _product((pq, current(-q), current(-p), current(-a)), cutoff)
+                new[-a] = _add(dict(current(-a)), fix, -1)
+        series.update((y, _by_degree(terms)) for y, terms in new.items())
+    return {a: series[a] for a in moved}
+
+
+def _least_depth(
+    indices: Iterable[int], depth: Callable[[int, int], int | None], limit: int
+) -> int | None:
+    """The least depth(i, limit) over the indices, or None when every depth
+    exceeds limit.  Once some depth is d, only a depth below d can lower the
+    minimum, so later indices are read to degree d - 1; an IA input has no
+    depth below 2."""
+    best: int | None = None
+    for i in indices:
+        bound = limit if best is None else best - 1
+        if bound < 2:
+            break
+        d = depth(i, bound)
+        if d is not None:
+            best = d
+    return best
+
+
+def johnson_level(phi: FreeEndo | IAWord, cutoff: int) -> int | None:
     """Largest k < cutoff with every phi(x_i) x_i^-1 of depth >= k+1; None
     means the level is certified >= cutoff.  IA inputs always have level >= 1.
+
+    An ``IAWord`` is read by generator substitution (``_substituted_series``)
+    at cutoffs 3, 4, ... in turn: a depth d shows exactly at every cutoff
+    >= d, so the first cutoff that shows one gives the least depth, and a
+    word of level >= k never pays for the degrees above k + 1.  (Depth 2
+    shows at cutoff 3 too, for little more than at cutoff 2.)  A ``FreeEndo``
+    is read at the full cutoff by embedding each displaced image word letter
+    by letter.
     """
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
-    if not ia_check(phi):
+    endo = phi.realized if isinstance(phi, IAWord) else phi
+    if not ia_check(endo):
         raise ValueError("johnson_level needs an IA endomorphism")
     best: int | None = None
-    for i in phi.moved_indices():
-        displaced = concat(phi.image(i), Word((-i,)))
-        d = lcs_depth(displaced, cutoff)
-        if d is not None and (best is None or d < best):
-            best = d
+    if isinstance(phi, IAWord):
+
+        def depth(i: int, bound: int) -> int | None:
+            terms = _mul_dicts(series[i], _letter_series(-i, bound), bound)
+            return min((len(m) for m in terms if m), default=None)
+
+        for limit in range(min(3, cutoff), cutoff + 1):
+            series = _substituted_series(phi, limit)
+            best = _least_depth(sorted(series), depth, limit)
+            if best is not None:
+                break
+    else:
+
+        def depth(i: int, bound: int) -> int | None:
+            return lcs_depth(concat(phi.image(i), Word((-i,))), bound)
+
+        best = _least_depth(phi.moved_indices(), depth, cutoff)
     return None if best is None else best - 1
 
 

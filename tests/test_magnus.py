@@ -6,6 +6,7 @@ import pytest
 from lcsforge.autom import (
     comm_move,
     compose,
+    concat_ia,
     conj,
     free_endo,
     ia_word,
@@ -15,6 +16,7 @@ from lcsforge.autom import (
 )
 from lcsforge.magnus import (
     TruncatedSeries,
+    _substituted_series,
     expand_bracket,
     format_series,
     hall_basis,
@@ -200,6 +202,66 @@ def test_level_of_composition_bounded_below():
         lc = johnson_level(compose(u, v), cutoff)
         eff = lambda x: cutoff if x is None else x
         assert eff(lc) >= min(eff(lu), eff(lv))
+
+
+def random_ia_word(rng, rank, length):
+    """Signed Magnus generators; about a third of the steps repeat the
+    previous generator or undo it, so indices recur and words cancel."""
+    gens = []
+    for _ in range(length):
+        if gens and rng.random() < 0.35:
+            prev = gens[-1]
+            gens.append(prev if rng.random() < 0.5 else prev.inverse())
+            continue
+        sign = rng.choice((1, -1))
+        if rng.random() < 0.5:
+            a, b = rng.sample(range(1, rank + 1), 2)
+            gens.append(conj(a, b, sign))
+        else:
+            a, b, c = rng.sample(range(1, rank + 1), 3)
+            gens.append(comm_move(a, min(b, c), max(b, c), sign))
+    return ia_word(rank, gens)
+
+
+def ia_commutator(u, v):
+    return concat_ia(u, v, invert_ia(u), invert_ia(v))
+
+
+def test_substitution_level_matches_letter_route():
+    rng = random.Random(20240611)
+    inverse_steps = 0
+    levels = set()
+    for rank in range(3, 7):
+        for cutoff in range(2, 6):
+            words = [ia_word(rank, [])]
+            words += [random_ia_word(rng, rank, rng.randint(1, 5)) for _ in range(6)]
+            # commutators of generators reach the deeper levels
+            for _ in range(4):
+                u, v, x = (random_ia_word(rng, rank, 1) for _ in range(3))
+                words.append(ia_commutator(u, v))
+                words.append(ia_commutator(x, ia_commutator(u, v)))
+            for w in words:
+                inverse_steps += sum(g.sign < 0 for g in w.gens)
+                endo = w.realized
+                images = {
+                    i: magnus_embed(endo.image(i), cutoff) for i in endo.moved_indices()
+                }
+                # the level from every displaced word at the full cutoff, no early stop
+                depths = [
+                    series_mul(s, magnus_embed(word([-i]), cutoff)).min_positive_degree()
+                    for i, s in images.items()
+                ]
+                found = [d for d in depths if d is not None]
+                full = min(found) - 1 if found else None
+                assert johnson_level(w, cutoff) == johnson_level(endo, cutoff) == full, w
+                levels.add(full)
+                series = _substituted_series(w, cutoff)
+                assert set(series) == {g.a for g in w.gens}
+                for i, terms in series.items():
+                    fixed = {(): 1, (i,): 1}
+                    assert dict(terms) == (images[i].as_dict() if i in images else fixed)
+    assert inverse_steps > 0
+    assert {1, 2, 3, None} <= levels
 
 
 def test_witt_goldens():
