@@ -239,8 +239,8 @@ def raag_commute(u: RAAGWord, v: RAAGWord, g: RAAGPresentation) -> bool:
 
 class RAAGContext:
     """Equality / commutation / character-evaluation oracle for one RAAG.
-    Commutation answers are cached per word pair; sweeps ask about the same
-    generator pairs once per character."""
+    Commutation answers are cached per word pair; a sweep asks about the
+    same generator pairs once per support it meets."""
 
     def __init__(self, g: RAAGPresentation):
         self.graph = g
@@ -494,26 +494,36 @@ def soundness_sweep(
     choice A = living vertex generators, B = all vertex generators
     (generation attested by definition), and compare with the oracle.
     Criterion success must imply oracle truth; the converse failures are
-    recorded since the criterion is only sufficient."""
+    recorded since the criterion is only sufficient.
+
+    Both verdicts depend only on the support (which vertices are nonzero):
+    survival always holds, since A is exactly the living generators;
+    connectivity of the commutation graph on A, domination of B and the
+    living-subgraph oracle read only which vertices live.  So the real
+    ``kmm_check`` and ``mv_oracle`` run once per support, on the first
+    character seen with it, and every character with that support gets
+    their verdicts in its own record."""
     ctx = RAAGContext(g)
-    letter_words = {v: raag_word([v]) for v in g.vertices()}
-    b_elements = [letter_words[v] for v in g.vertices()]
+    b_elements = [raag_word([v]) for v in g.vertices()]
+    verdicts: dict[tuple[bool, ...], tuple[bool, bool, str | None]] = {}
     records = []
     for char in chars:
         if char.is_zero():
             continue
         vals = char.as_dict()
-        a_elements = [letter_words[v] for v in g.vertices() if vals[v] != 0]
-        outcome = kmm_check(ctx, char, a_elements, b_elements, True)
-        oracle = mv_oracle(g, char)
-        records.append(
-            SweepRecord(
-                tuple(vals[v] for v in g.vertices()),
+        row = tuple(vals[v] for v in g.vertices())
+        support = tuple(v != 0 for v in row)
+        verdict = verdicts.get(support)
+        if verdict is None:
+            a_elements = [w for w, live in zip(b_elements, support) if live]
+            outcome = kmm_check(ctx, char, a_elements, b_elements, True)
+            verdict = (
                 outcome.ok,
-                oracle,
+                mv_oracle(g, char),
                 None if outcome.ok else outcome.reason,
             )
-        )
+            verdicts[support] = verdict
+        records.append(SweepRecord(row, *verdict))
     return SweepReport(g, tuple(records))
 
 
@@ -530,6 +540,10 @@ def all_graphs(n_vertices: int) -> Iterable[RAAGPresentation]:
 def character_grid(
     n_vertices: int, values: Sequence[int] = (-1, 0, 1, 2)
 ) -> Iterable[Character]:
-    """All characters with each vertex value drawn from the given grid."""
-    for combo in product(values, repeat=n_vertices):
-        yield character({v: combo[v - 1] for v in range(1, n_vertices + 1)})
+    """All characters with each vertex value drawn from the given grid, in
+    the order and with the label order ``character`` gives them."""
+    labels = sorted(range(1, n_vertices + 1), key=repr)
+    positions = [v - 1 for v in labels]
+    grid = [Fraction(x) for x in values]
+    for combo in product(grid, repeat=n_vertices):
+        yield Character(tuple(zip(labels, [combo[i] for i in positions])))

@@ -216,16 +216,32 @@ def suite_ia_axioms(params: dict) -> SuiteReport:
 # kmm-raag
 
 
+# Above this many characters kmm-raag refuses to start without --force.
+KMM_MAX_CHARACTERS = 10**7
+
+
 def _sweep_one(graph: bns.RAAGPresentation) -> bns.SweepReport:
     grid = bns.character_grid(graph.n_vertices)
     return bns.soundness_sweep(graph, grid)
 
 
 def suite_kmm_raag(params: dict) -> SuiteReport:
-    report = SuiteReport("kmm-raag", dict(params))
+    params = dict(params)
+    force = params.pop("force", False)
+    report = SuiteReport("kmm-raag", params)
     graph_file = params.get("graph")
-    if graph_file:
-        graph = bns.raag_from_text(Path(graph_file).read_text())
+    graph = bns.raag_from_text(Path(graph_file).read_text()) if graph_file else None
+    # 4 grid values per vertex, on one graph or on every labeled graph on v vertices
+    if graph is not None:
+        cost = 4**graph.n_vertices
+    else:
+        cost = sum(2 ** (v * (v - 1) // 2) * 4**v for v in range(1, params["max_n"] + 1))
+    if cost > KMM_MAX_CHARACTERS and not force:
+        raise ValueError(
+            f"kmm-raag would sweep about {cost} characters, more than "
+            f"{KMM_MAX_CHARACTERS}; pass --force to run it anyway"
+        )
+    if graph is not None:
 
         def run():
             sweep = _sweep_one(graph)
@@ -558,6 +574,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("kmm-raag", help="criterion-vs-oracle soundness sweep")
     p.add_argument("--graph", metavar="FILE", help="sweep a single graph file")
     p.add_argument("--max-n", type=int, default=5, help="max vertex count")
+    p.add_argument("--force", action="store_true", help="sweep even above the cost bound")
 
     p = add("johnson", help="degree-one homology model checks")
     p.add_argument("--n", type=int, default=4)

@@ -1,13 +1,16 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
+from lcsforge import bns
 from lcsforge.bns import (
     KMMCertificate,
     KMMFailure,
     RAAGContext,
+    SweepRecord,
     all_graphs,
     certificate_from_json,
     certificate_revalidate,
@@ -195,6 +198,87 @@ def test_free_pair_has_empty_invariant():
     assert report.certificates == 0
     reasons = {r.failure_reason for r in report.records}
     assert reasons <= {"commutation-graph-disconnected", "undominated-element"}
+
+
+def _support(char, g):
+    return tuple(char.value(v) != 0 for v in g.vertices())
+
+
+def test_soundness_sweep_matches_per_character_route(monkeypatch):
+    """The sweep's one verdict per support equals the criterion and the
+    oracle run on every full character, and the criterion and the oracle
+    each run once per distinct support."""
+    rng = random.Random(20)
+    pool = [Fraction(-3), Fraction(-1, 2), Fraction(0), Fraction(1), Fraction(5, 3)]
+    real_kmm, real_oracle = bns.kmm_check, bns.mv_oracle
+    calls = {"kmm": [], "oracle": []}
+
+    def counted_kmm(ctx, char, a_elements, b_elements, attested):
+        calls["kmm"].append(_support(char, ctx.graph))
+        return real_kmm(ctx, char, a_elements, b_elements, attested)
+
+    def counted_oracle(g, char):
+        calls["oracle"].append(_support(char, g))
+        return real_oracle(g, char)
+
+    monkeypatch.setattr(bns, "kmm_check", counted_kmm)
+    monkeypatch.setattr(bns, "mv_oracle", counted_oracle)
+    reasons = set()
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        pairs = list(combinations(range(1, n + 1), 2))
+        g = raag(n, [p for p in pairs if rng.random() < 0.5])
+        chars = [
+            character({v: rng.choice(pool) for v in g.vertices()})
+            for _ in range(rng.randint(1, 40))
+        ]
+        chars += rng.choices(chars, k=5)
+        chars.append(character({v: 0 for v in g.vertices()}))
+        rng.shuffle(chars)
+        calls["kmm"].clear()
+        calls["oracle"].clear()
+        report = soundness_sweep(g, chars)
+
+        ctx = RAAGContext(g)
+        everything = [raag_word([v]) for v in g.vertices()]
+        expected = []
+        for char in chars:
+            if char.is_zero():
+                continue
+            vals = char.as_dict()
+            living = [raag_word([v]) for v in g.vertices() if vals[v] != 0]
+            out = kmm_check(ctx, char, living, everything, True)
+            expected.append(
+                SweepRecord(
+                    tuple(vals[v] for v in g.vertices()),
+                    out.ok,
+                    mv_oracle(g, char),
+                    None if out.ok else out.reason,
+                )
+            )
+            reasons.add(expected[-1].failure_reason)
+        assert report.records == tuple(expected)
+        supports = {_support(c, g) for c in chars if not c.is_zero()}
+        for name in ("kmm", "oracle"):
+            assert len(calls[name]) == len(supports)
+            assert set(calls[name]) == supports
+    assert reasons == {None, "commutation-graph-disconnected", "undominated-element"}
+
+
+def test_character_grid_matches_character():
+    """Fractions and label order (1, 10, 11, 2, ... by repr) as ``character``
+    builds them."""
+    wide = (-3, Fraction(-1, 2), 0, 1, Fraction(5, 3))
+    for n in range(1, 12):
+        values = wide if n <= 3 else (0, 1)
+        got = list(character_grid(n, values))
+        want = [
+            character({v: combo[v - 1] for v in range(1, n + 1)})
+            for combo in product(values, repeat=n)
+        ]
+        assert got == want
+        assert all(type(x) is Fraction for ch in got for _, x in ch.values)
+    assert [label for label, _ in got[0].values][:4] == [1, 10, 11, 2]
 
 
 def test_all_graphs_count():

@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+from lcsforge import bns
 from lcsforge.cli import _build_parser, main, run_suite
 
 
@@ -85,7 +86,13 @@ def test_kmm_raag_graph_file(tmp_path):
     assert report.passed
     detail = report.checks[0].detail
     assert detail["characters"] == 255
-    assert detail["certificates"] > 0
+    # living-subgraph criterion on the 4-cycle: adjacent pairs, triples and
+    # all four vertices are connected and dominating, each live vertex takes
+    # one of 3 nonzero values: 4 * 3**2 + 4 * 3**3 + 3**4 = 225.  Opposite
+    # pairs and single vertices fail.
+    assert detail["certificates"] == 225
+    assert detail["oracle_true_kmm_fail"] == 0
+    assert detail["violations"] == []
 
 
 def test_kmm_raag_small_vertex_sweep():
@@ -93,6 +100,32 @@ def test_kmm_raag_small_vertex_sweep():
     assert report.passed
     by_name = {c.name: c for c in report.checks}
     assert by_name["f2-edgeless"].detail["certificates"] == 0
+
+
+def test_kmm_raag_cost_guard(tmp_path, capsys, monkeypatch):
+    class Started(Exception):
+        pass
+
+    def sweep(graph, chars):
+        raise Started
+
+    monkeypatch.setattr(bns, "soundness_sweep", sweep)
+    # 4**11 and sum(2**(v(v-1)/2) * 4**v, v <= 5) characters are admitted,
+    # 4**12 and the same sum to v = 6 are not
+    cases = [(["kmm-raag", "--max-n", "5"], True), (["kmm-raag", "--max-n", "6"], False)]
+    for n in (11, 12):
+        path = tmp_path / f"path{n}.graph"
+        path.write_text(f"{n}\n" + "".join(f"{v} {v + 1}\n" for v in range(1, n)))
+        cases.append((["kmm-raag", "--graph", str(path)], n == 11))
+    for argv, admitted in cases:
+        if admitted:
+            with pytest.raises(Started):
+                main(argv)
+        else:
+            assert main(argv) == 2
+            assert "--force" in capsys.readouterr().err
+            with pytest.raises(Started):
+                main(argv + ["--force"])
 
 
 def test_unknown_suite_rejected():
