@@ -344,15 +344,9 @@ def kmm_check(
             return KMMFailure("A-does-not-survive", (i,))
         survival.append((i, v))
 
-    pair_memo: dict[tuple[int, int], bool] = {}
-
-    def commutes_at(i: int, j: int) -> bool:
-        key = (min(i, j), max(i, j))
-        if key not in pair_memo:
-            pair_memo[key] = ctx.commutes(a_elements[key[0]], a_elements[key[1]])
-        return pair_memo[key]
-
-    tree, unreached = _spanning_tree(len(a_elements), commutes_at)
+    tree, unreached = _spanning_tree(
+        len(a_elements), lambda i, j: ctx.commutes(a_elements[i], a_elements[j])
+    )
     if unreached:
         return KMMFailure("commutation-graph-disconnected", unreached)
 
@@ -508,11 +502,11 @@ def soundness_sweep(
     verdicts: dict[tuple[bool, ...], tuple[bool, bool, str | None]] = {}
     records = []
     for char in chars:
-        if char.is_zero():
-            continue
         vals = char.as_dict()
         row = tuple(vals[v] for v in g.vertices())
         support = tuple(v != 0 for v in row)
+        if not any(support):
+            continue
         verdict = verdicts.get(support)
         if verdict is None:
             a_elements = [w for w, live in zip(b_elements, support) if live]

@@ -336,6 +336,8 @@ def sample_functionals(n: int, count: int, seed: int) -> list[johnson.H1Function
         Fraction(1, 2), Fraction(1), Fraction(2),
     ]
     keys = johnson.h1_basis_keys(n)
+    if not keys:
+        raise ValueError(f"no nonzero functional exists at n={n}")
     out = []
     while len(out) < count:
         coords = {
@@ -375,6 +377,10 @@ def suite_johnson(params: dict) -> SuiteReport:
     n = params["n"]
     budget = params["budget"]
     seed = params["seed"]
+    if n < 2:
+        raise ValueError(f"johnson needs n >= 2, got {n}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     family = finc.FIncIA(n)
     gens = finc.magnus_generators(family)
 

@@ -26,7 +26,6 @@ from .autom import (
     concat_ia,
     conj,
     ia_word,
-    identity_ia,
     invert_ia,
     is_identity,
 )
@@ -135,7 +134,6 @@ class CommutingWitness:
 
     left: tuple[int, ...]
     right: tuple[int, ...]
-    conjugator: IAWord
     pairs: tuple[tuple[str, str, bool], ...]
 
     @property
@@ -167,7 +165,7 @@ def check_commuting(family: FIncIA, left, right) -> CommutingWitness:
     table = tuple(
         (format_token(u), format_token(v), commute(u, v)) for u in lg for v in rg
     )
-    return CommutingWitness(li, ri, identity_ia(family.n), table)
+    return CommutingWitness(li, ri, table)
 
 
 def format_token(w: IAWord) -> str:
@@ -230,14 +228,15 @@ def enumerate_normal_generators(
         raise ValueError("k must be >= 1")
     if family.n < d * k:
         raise ValueError(f"need ambient rank >= d*k = {d * k}, got {family.n}")
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     gens = magnus_generators(family)
     g = len(gens)
     total = g**k
     cap = DEFAULT_TUPLE_BUDGET if budget is None else budget
     step = 1 if total <= cap else -(-total // cap)  # ceil division
 
-    seen = {}
-    order = []
+    found = {}  # realized endomorphism -> (word, completion), in sampling order
     for flat in range(0, total, step):
         digits = []
         rem = flat
@@ -247,11 +246,7 @@ def enumerate_normal_generators(
         factors = [gens[r] for r in reversed(digits)]
         w = left_normed_commutator(factors)
         endo = w.realized
-        if is_identity(endo):
+        if is_identity(endo) or endo in found:
             continue
-        if endo in seen:
-            continue
-        completion = _support_completion(w.ia_support(), d * k, family.n)
-        seen[endo] = (w, completion)
-        order.append(endo)
-    return [seen[e] for e in order]
+        found[endo] = (w, _support_completion(w.ia_support(), d * k, family.n))
+    return list(found.values())

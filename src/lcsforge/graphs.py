@@ -54,15 +54,6 @@ class UGraph:
             if u not in vs or v not in vs:
                 raise ValueError(f"edge ({u!r},{v!r}) references missing vertex")
 
-    def neighbors(self, v: Label) -> list[Label]:
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return _sorted_labels(out)
-
     def adjacency(self) -> dict[Label, list[Label]]:
         adj: dict[Label, list[Label]] = {v: [] for v in self.vertices}
         for a, b in self.edges:
@@ -92,12 +83,6 @@ def ugraph(vertices: Iterable[Label], edges: Iterable[tuple[Label, Label]]) -> U
 class Connectivity:
     connected: bool
     components: tuple[tuple[Label, ...], ...]
-
-    def representative(self, v: Label) -> Label:
-        for comp in self.components:
-            if v in comp:
-                return comp[0]
-        raise KeyError(v)
 
 
 def connectivity(g: UGraph) -> Connectivity:

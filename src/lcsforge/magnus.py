@@ -19,7 +19,8 @@ time.  ``johnson_level`` takes two routes:
 
 * an ``IAWord`` (a word in Magnus generators) by generator substitution: the
   series of phi(x_j) are built generator by generator from short products
-  (``_substituted_series``); only the IA check reads the realized images;
+  (``_substituted_series``); nothing on this route reads the realized
+  images, since an ``IAWord`` is IA by construction;
 * a ``FreeEndo``, which carries no generator word, by embedding each image
   word letter by letter through ``magnus_embed``.
 
@@ -77,9 +78,6 @@ class TruncatedSeries:
     def as_dict(self) -> dict[Monomial, int]:
         return dict(self.terms)
 
-    def coefficient(self, mono: Monomial) -> int:
-        return self.as_dict().get(tuple(mono), 0)
-
     def min_positive_degree(self) -> int | None:
         degrees = [len(m) for m, _ in self.terms if m]
         return min(degrees) if degrees else None
@@ -100,10 +98,16 @@ def _mul_dicts(
     a: Iterable[tuple[Monomial, int]],
     b: Sequence[tuple[Monomial, int]],
     cutoff: int,
+    out: dict[Monomial, int] | None = None,
+    sign: int = 1,
 ) -> dict[Monomial, int]:
-    """The truncated product a * b of two (monomial, coefficient) sequences;
-    b is in nondecreasing degree, so each row stops at the cutoff."""
-    out: dict[Monomial, int] = {}
+    """out + sign * (a * b), truncated, accumulated in place into out (a new
+    dict when out is None); a and b are (monomial, coefficient) sequences,
+    b in nondecreasing degree, so each row stops at the cutoff."""
+    if out is None:
+        out = {}
+    if sign != 1:
+        a = [(ma, sign * ca) for ma, ca in a]
     for ma, ca in a:
         room = cutoff - len(ma)
         for mb, cb in b:
@@ -153,19 +157,6 @@ def _by_degree(terms: dict[Monomial, int]) -> Series:
     return list(zip(monos, map(terms.__getitem__, monos)))
 
 
-def _add(
-    out: dict[Monomial, int], terms: dict[Monomial, int], sign: int = 1
-) -> dict[Monomial, int]:
-    """out + sign * terms, in place."""
-    for mono, coeff in terms.items():
-        v = out.get(mono, 0) + sign * coeff
-        if v:
-            out[mono] = v
-        else:
-            del out[mono]
-    return out
-
-
 def magnus_embed(w: Word, cutoff: int) -> TruncatedSeries:
     """The truncated Magnus series of w; multiplicative up to truncation."""
     if cutoff < 1:
@@ -188,7 +179,7 @@ def _bracket(x: Series, y: Series, cutoff: int) -> Series:
     """xy - yx = [x - 1, y - 1] for series with constant term 1, which come
     first in degree order."""
     x1, y1 = x[1:], y[1:]
-    return _by_degree(_add(_product((x1, y1), cutoff), _product((y1, x1), cutoff), -1))
+    return _by_degree(_mul_dicts(y1, x1, cutoff, _mul_dicts(x1, y1, cutoff), -1))
 
 
 def _substituted_series(phi: IAWord, cutoff: int) -> dict[int, Series]:
@@ -233,16 +224,18 @@ def _substituted_series(phi: IAWord, cutoff: int) -> dict[int, Series]:
             u = letters[0]
             for y in want:
                 uy = _bracket(current(u), current(y), cutoff)
-                new[y] = _add(dict(current(y)), _product((uy, current(-u)), cutoff))
+                new[y] = _mul_dicts(uy, current(-u), cutoff, dict(current(y)))
         elif want:  # x_a p q p^-1 q^-1
             p, q = letters[1], letters[2]
             pq = _bracket(current(p), current(q), cutoff)
             if a in want:
-                fix = _product((current(a), pq, current(-p), current(-q)), cutoff)
-                new[a] = _add(dict(current(a)), fix)
+                head = _product((current(a), pq, current(-p)), cutoff)
+                new[a] = _mul_dicts(head.items(), current(-q), cutoff, dict(current(a)))
             if -a in want:
-                fix = _product((pq, current(-q), current(-p), current(-a)), cutoff)
-                new[-a] = _add(dict(current(-a)), fix, -1)
+                head = _product((pq, current(-q), current(-p)), cutoff)
+                new[-a] = _mul_dicts(
+                    head.items(), current(-a), cutoff, dict(current(-a)), -1
+                )
         series.update((y, _by_degree(terms)) for y, terms in new.items())
     return {a: series[a] for a in moved}
 
@@ -274,14 +267,12 @@ def johnson_level(phi: FreeEndo | IAWord, cutoff: int) -> int | None:
     >= d, so the first cutoff that shows one gives the least depth, and a
     word of level >= k never pays for the degrees above k + 1.  (Depth 2
     shows at cutoff 3 too, for little more than at cutoff 2.)  A ``FreeEndo``
-    is read at the full cutoff by embedding each displaced image word letter
-    by letter.
+    must pass the IA check, which an ``IAWord`` passes by construction; it is
+    read at the full cutoff by embedding each displaced image word letter by
+    letter.
     """
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
-    endo = phi.realized if isinstance(phi, IAWord) else phi
-    if not ia_check(endo):
-        raise ValueError("johnson_level needs an IA endomorphism")
     best: int | None = None
     if isinstance(phi, IAWord):
 
@@ -295,6 +286,8 @@ def johnson_level(phi: FreeEndo | IAWord, cutoff: int) -> int | None:
             if best is not None:
                 break
     else:
+        if not ia_check(phi):
+            raise ValueError("johnson_level needs an IA endomorphism")
 
         def depth(i: int, bound: int) -> int | None:
             return lcs_depth(concat(phi.image(i), Word((-i,))), bound)

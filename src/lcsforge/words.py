@@ -33,9 +33,6 @@ class GeneratorSymbol(NamedTuple):
     index: int
     sign: int
 
-    def encoded(self) -> int:
-        return self.index * self.sign
-
 
 Letter = Union[int, GeneratorSymbol]
 
@@ -89,11 +86,6 @@ class Word:
 
     def __bool__(self) -> bool:
         return bool(self.letters)
-
-    def symbols(self) -> tuple[GeneratorSymbol, ...]:
-        return tuple(
-            GeneratorSymbol(abs(v), 1 if v > 0 else -1) for v in self.letters
-        )
 
     def __repr__(self) -> str:
         return f"Word({format_word(self)!r})"

@@ -143,6 +143,14 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
         main(["no-such-suite"])
     assert exc.value.code == 2
     assert main(["kmm-raag", "--graph", str(tmp_path / "missing.graph")]) == 2
+    for argv in (
+        ["normal-gens", "--k", "1", "--budget", "0"],
+        ["normal-gens", "--k", "1", "--budget", "-1"],
+        ["johnson", "--n", "1"],
+        ["johnson", "--n", "2", "--budget", "-1"],
+    ):
+        assert main(argv) == 2, argv
+        assert "error: " in capsys.readouterr().err
     monkeypatch.setenv("LCSFORGE_SEED", "abc")
     assert main(["johnson", "--n", "2", "--budget", "1"]) == 2
     assert "error: LCSFORGE_SEED must be an integer" in capsys.readouterr().err

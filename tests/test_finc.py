@@ -74,9 +74,9 @@ def test_check_commuting_disjoint_blocks():
     wit = check_commuting(fam, (1, 2), (3, 4))
     assert wit.ok
     assert len(wit.pairs) == 4
-    assert is_identity(wit.conjugator.realized)
     payload = wit.to_json()
     assert payload["ok"] and payload["left"] == [1, 2]
+    assert payload["conjugator"] == "identity"
 
 
 def test_check_commuting_larger_blocks():
@@ -121,6 +121,12 @@ def test_enumerate_k1_is_generating_set():
 def test_enumerate_rejects_small_rank():
     with pytest.raises(ValueError):
         enumerate_normal_generators(FIncIA(5), 2)
+
+
+def test_enumerate_rejects_budget_below_one():
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match="budget"):
+            enumerate_normal_generators(FIncIA(3), 1, budget=budget)
 
 
 def test_enumerate_k2_properties():

@@ -22,8 +22,8 @@ def test_petersen():
     g = disjointness_graph(5, 2)
     assert len(g.vertices) == 10
     assert len(g.edges) == 15
-    degrees = [len(g.neighbors(v)) for v in g.vertices]
-    assert degrees == [3] * 10
+    adj = g.adjacency()
+    assert [len(adj[v]) for v in g.vertices] == [3] * 10
     assert is_connected(g)
 
 

@@ -16,6 +16,7 @@ from lcsforge.autom import (
 )
 from lcsforge.magnus import (
     TruncatedSeries,
+    _mul_dicts,
     _substituted_series,
     expand_bracket,
     format_series,
@@ -101,6 +102,7 @@ def run_word(rng, max_runs=6, alphabet=3):
 
 def test_embed_matches_oracle():
     rng = random.Random(30)
+    cancelled = 0
     for cutoff in (3, 4, 5):
         for _ in range(40):
             u = random_word(rng, max_len=20)
@@ -108,9 +110,17 @@ def test_embed_matches_oracle():
             for w in (u, v):
                 assert magnus_embed(w, cutoff).as_dict() == oracle_embed(w, cutoff)
             su, sv = magnus_embed(u, cutoff), magnus_embed(v, cutoff)
-            assert series_mul(su, sv).as_dict() == naive_mul(
-                su.as_dict(), sv.as_dict(), cutoff
-            )
+            a, prod = su.as_dict(), naive_mul(su.as_dict(), sv.as_dict(), cutoff)
+            assert series_mul(su, sv).as_dict() == prod
+            # the accumulate form out - a * b, from out = a * b + a: every term
+            # of the product cancels, and a cancelled key is deleted, not zeroed
+            out = {m: a.get(m, 0) + prod.get(m, 0) for m in a.keys() | prod.keys()}
+            out = {m: c for m, c in out.items() if c}
+            by_degree = sorted(sv.terms, key=lambda t: len(t[0]))
+            assert _mul_dicts(su.terms, by_degree, cutoff, out, -1) is out
+            assert out == a
+            cancelled += len(prod.keys() - a.keys())
+    assert cancelled > 0
 
 
 def test_embed_multiplicative():
@@ -242,6 +252,9 @@ def test_substitution_level_matches_letter_route():
                 words.append(ia_commutator(x, ia_commutator(u, v)))
             for w in words:
                 inverse_steps += sum(g.sign < 0 for g in w.gens)
+                level = johnson_level(w, cutoff)
+                # an IAWord is IA by construction: its level never realizes it
+                assert "realized" not in w.__dict__, w
                 endo = w.realized
                 images = {
                     i: magnus_embed(endo.image(i), cutoff) for i in endo.moved_indices()
@@ -253,7 +266,7 @@ def test_substitution_level_matches_letter_route():
                 ]
                 found = [d for d in depths if d is not None]
                 full = min(found) - 1 if found else None
-                assert johnson_level(w, cutoff) == johnson_level(endo, cutoff) == full, w
+                assert level == johnson_level(endo, cutoff) == full, w
                 levels.add(full)
                 series = _substituted_series(w, cutoff)
                 assert set(series) == {g.a for g in w.gens}
