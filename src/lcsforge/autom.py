@@ -34,7 +34,6 @@ __all__ = [
     "IAGenerator",
     "conj",
     "comm_move",
-    "realize_generator",
     "IAWord",
     "ia_word",
     "identity_ia",
@@ -103,20 +102,25 @@ def identity_endo(rank: int) -> FreeEndo:
     return FreeEndo(rank)
 
 
-def apply(phi: FreeEndo, w: Word) -> Word:
-    """Substitute generator images through w and reduce."""
-    imap = phi._imap
+def _substitute(imap: Mapping[int, Word], rank: int, letters: Iterable[int]) -> Word:
+    """Substitute the images in imap (absent indices are fixed) through the
+    letters and reduce."""
     pieces: list[tuple[int, ...]] = []
-    for v in w.letters:
+    for v in letters:
         i = abs(v)
-        if i > phi.rank:
-            raise ValueError(f"letter x{i} outside rank {phi.rank}")
+        if i > rank:
+            raise ValueError(f"letter x{i} outside rank {rank}")
         img = imap.get(i)
         if img is None:
             pieces.append((v,))
         else:
             pieces.append(img.letters if v > 0 else invert(img).letters)
     return Word(_reduce(pieces))
+
+
+def apply(phi: FreeEndo, w: Word) -> Word:
+    """Substitute generator images through w and reduce."""
+    return _substitute(phi._imap, phi.rank, w.letters)
 
 
 def compose(phi: FreeEndo, psi: FreeEndo) -> FreeEndo:
@@ -223,18 +227,10 @@ def comm_move(a: int, b: int, c: int, sign: int = 1) -> IAGenerator:
     return IAGenerator("comm", a, b, c, sign=sign)
 
 
-def realize_generator(g: IAGenerator, rank: int) -> FreeEndo:
-    """The endomorphism of the rank-n free group a signed Magnus generator
-    performs; the sign -1 form is the explicit two-sided inverse."""
-    if any(i > rank for i in g.indices):
-        raise ValueError(f"generator {g.token()} exceeds rank {rank}")
-    return free_endo(rank, {g.a: Word(g.image_letters())})
-
-
 @dataclass(frozen=True)
 class IAWord:
-    """A word in signed Magnus generators with its realized endomorphism as
-    the invertibility witness."""
+    """A word in signed Magnus generators, the invertibility witness of its
+    realized endomorphism, which is built in one substitution pass."""
 
     rank: int
     gens: tuple[IAGenerator, ...] = ()
@@ -246,11 +242,12 @@ class IAWord:
 
     @cached_property
     def realized(self) -> FreeEndo:
-        out = identity_endo(self.rank)
-        # left-to-right product acts by composition: (g1 g2)(x) = g1(g2(x))
+        # (g1 g2)(x) = g1(g2(x)) and g moves only x_a: folding left to right,
+        # x_a's image becomes the current images substituted into g's image
+        images: dict[int, Word] = {}
         for g in self.gens:
-            out = compose(out, realize_generator(g, self.rank))
-        return out
+            images[g.a] = _substitute(images, self.rank, g.image_letters())
+        return free_endo(self.rank, images)
 
     def ia_support(self) -> frozenset[int]:
         out: frozenset[int] = frozenset()
@@ -292,17 +289,17 @@ def conjugate(phi: IAWord, alpha: IAWord) -> IAWord:
 
 
 def commute(u: IAWord, v: IAWord) -> bool:
-    """Whether the realized automorphisms commute, decided by realizing the
-    commutator word u v u^-1 v^-1 through the generator-word witnesses."""
+    """Whether the realized automorphisms commute, decided by comparing the
+    two compositions of the (cached) realizations: stored images are reduced
+    and sorted with fixed generators dropped, so equal endomorphisms are
+    equal objects, and uv = vu iff [u, v] = 1."""
     if not isinstance(u, IAWord) or not isinstance(v, IAWord):
         raise TypeError(
             "commute needs IAWord witnesses; a bare FreeEndo has no "
             "invertibility witness"
         )
-    if u.rank != v.rank:
-        raise RankMismatch(f"ranks differ: {u.rank} vs {v.rank}")
-    comm = concat_ia(u, v, invert_ia(u), invert_ia(v))
-    return is_identity(comm.realized)
+    phi, psi = u.realized, v.realized
+    return compose(phi, psi) == compose(psi, phi)
 
 
 def format_ia_word(u: IAWord) -> str:

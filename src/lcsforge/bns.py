@@ -465,7 +465,6 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class SweepReport:
-    graph: RAAGPresentation
     records: tuple[SweepRecord, ...]
 
     @property
@@ -518,7 +517,7 @@ def soundness_sweep(
             )
             verdicts[support] = verdict
         records.append(SweepRecord(row, *verdict))
-    return SweepReport(g, tuple(records))
+    return SweepReport(tuple(records))
 
 
 def all_graphs(n_vertices: int) -> Iterable[RAAGPresentation]:

@@ -111,6 +111,8 @@ def suite_depth(params: dict) -> SuiteReport:
 def suite_kneser(params: dict) -> SuiteReport:
     report = SuiteReport("kneser", dict(params))
     max_n, max_m = params["max_n"], params["max_m"]
+    if not 1 <= max_m <= max_n:
+        raise ValueError(f"kneser needs 1 <= max_m <= max_n, got {max_m} and {max_n}")
     for m in range(1, max_m + 1):
 
         def run(m=m):
@@ -198,7 +200,8 @@ def suite_ia_axioms(params: dict) -> SuiteReport:
 
     def run_coverage():
         got = finc.generation_degree_coverage(family)
-        want = 3 if n >= 3 else 2
+        # the documented law: n = 1 is the trivial group, with no generators
+        want = 3 if n >= 3 else 2 if n == 2 else 0
         return got == want, {
             "summary": f"coverage degree {got}",
             "degree": got,
@@ -234,6 +237,8 @@ def suite_kmm_raag(params: dict) -> SuiteReport:
     # 4 grid values per vertex, on one graph or on every labeled graph on v vertices
     if graph is not None:
         cost = 4**graph.n_vertices
+    elif params["max_n"] < 1:
+        raise ValueError(f"kmm-raag needs max_n >= 1, got {params['max_n']}")
     else:
         cost = sum(2 ** (v * (v - 1) // 2) * 4**v for v in range(1, params["max_n"] + 1))
     if cost > KMM_MAX_CHARACTERS and not force:

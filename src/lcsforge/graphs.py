@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Hashable, Iterable, Sequence
 
-from .autom import IAWord, commute, conjugate, format_ia_word, identity_ia
+from .autom import IAWord, commute, conjugate
 from .finc import FIncIA, format_token, subgroup_generators
 
 __all__ = [
@@ -203,10 +203,10 @@ def commutation_graph(elements: Sequence[IAWord]) -> UGraph:
 class TwoStepWitness:
     """The middle vertex of a two-edge link: an index set whose subgroup
     commutes elementwise both with the basepoint subgroup and with its
-    conjugate by the moving generator.  The conjugator alpha is identity."""
+    conjugate by the moving generator.  The conjugator alpha is always the
+    identity, so it is not stored; the JSON writes it as "identity"."""
 
     middle: tuple[int, ...]
-    alpha: IAWord
     base_pairs: tuple[tuple[str, str, bool], ...]
     conjugated_pairs: tuple[tuple[str, str, bool], ...]
 
@@ -219,7 +219,7 @@ class TwoStepWitness:
     def to_json(self) -> dict:
         return {
             "middle": list(self.middle),
-            "alpha": format_ia_word(self.alpha),
+            "alpha": "identity",
             "base_pairs": [list(p) for p in self.base_pairs],
             "conjugated_pairs": [list(p) for p in self.conjugated_pairs],
             "ok": self.ok,
@@ -287,7 +287,7 @@ def two_step_witness(
         for u in mid_gens
         for v in conj_gens
     )
-    return TwoStepWitness(middle, identity_ia(n), base_pairs, conj_pairs)
+    return TwoStepWitness(middle, base_pairs, conj_pairs)
 
 
 def to_dot(g: UGraph, name: str = "g") -> str:

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from lcsforge import autom
 from lcsforge.autom import (
     AutWitness,
     FreeEndo,
@@ -11,6 +12,7 @@ from lcsforge.autom import (
     comm_move,
     commute,
     compose,
+    concat_ia,
     conj,
     conjugate,
     format_ia_word,
@@ -23,10 +25,10 @@ from lcsforge.autom import (
     invert_ia,
     is_identity,
     parse_ia_word,
-    realize_generator,
     signed_permutation_lift,
     transvection_lift,
 )
+from lcsforge.finc import FIncIA, check_functoriality
 from lcsforge.words import EPSILON, Word, concat, parse_word, reduce_letters, word
 
 
@@ -52,27 +54,27 @@ def random_ia(rng, n, length=4):
 
 
 def test_realize_conj():
-    phi = realize_generator(conj(1, 2), 2)
+    phi = ia_word(2, [conj(1, 2)]).realized
     assert phi.image(1) == parse_word("x2.x1.X2")
     assert phi.image(2) == word([2])
 
 
 def test_realize_comm_move():
-    phi = realize_generator(comm_move(1, 2, 3), 3)
+    phi = ia_word(3, [comm_move(1, 2, 3)]).realized
     assert phi.image(1) == parse_word("x1.x2.x3.X2.X3")
 
 
 def test_generator_inverses_cancel():
     for g in all_magnus_tokens(4):
-        fwd = realize_generator(g, 4)
-        back = realize_generator(g.inverse(), 4)
+        fwd = ia_word(4, [g]).realized
+        back = ia_word(4, [g.inverse()]).realized
         assert is_identity(compose(fwd, back))
         assert is_identity(compose(back, fwd))
 
 
 def test_realize_rejects_out_of_range():
     with pytest.raises(ValueError):
-        realize_generator(conj(1, 3), 2)
+        ia_word(2, [conj(1, 3)])
 
 
 def test_apply_identity_and_example():
@@ -81,7 +83,7 @@ def test_apply_identity_and_example():
     for _ in range(30):
         w = word(rng.choice([1, -1]) * rng.randint(1, 4) for _ in range(10))
         assert apply(ident, w) == w
-    phi = realize_generator(conj(1, 2), 2)
+    phi = ia_word(2, [conj(1, 2)]).realized
     assert apply(phi, word([1])) == parse_word("x2.x1.X2")
 
 
@@ -152,8 +154,8 @@ def test_compose_rank_mismatch():
 
 
 def test_disjoint_conjugations_commute_as_endos():
-    a = realize_generator(conj(1, 2), 4)
-    b = realize_generator(conj(3, 4), 4)
+    a = ia_word(4, [conj(1, 2)]).realized
+    b = ia_word(4, [conj(3, 4)]).realized
     assert compose(a, b) == compose(b, a)
 
 
@@ -164,6 +166,59 @@ def test_realize_word_times_inverse_is_identity():
         assert is_identity(
             compose(w.realized, invert_ia(w).realized)
         )
+
+
+def realized_by_composition(w):
+    """The route realization replaced, kept as the reference: one
+    endomorphism per generator, composed left to right."""
+    out = identity_endo(w.rank)
+    for g in w.gens:
+        out = compose(out, free_endo(w.rank, {g.a: Word(g.image_letters())}))
+    return out
+
+
+def test_realized_matches_composition_route():
+    rng = random.Random(26)
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        toks = all_magnus_tokens(n)
+        length = rng.randint(0, 12)
+        gens = []
+        while len(gens) < length:
+            g = rng.choice(toks)
+            if rng.random() < 0.5:
+                g = g.inverse()
+            gens += [g] * rng.randint(1, 3)  # runs of one generator
+        w = ia_word(n, gens[:length])
+        assert w.realized == realized_by_composition(w), w
+        back = concat_ia(w, invert_ia(w))
+        assert is_identity(back.realized), back
+        assert back.realized == realized_by_composition(back)
+
+
+def test_commute_matches_commutator_route():
+    rng = random.Random(27)
+    verdicts = set()
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        u, v = random_ia(rng, n, 2), random_ia(rng, n, 2)
+        comm = concat_ia(u, v, invert_ia(u), invert_ia(v))
+        got = commute(u, v)
+        assert got == is_identity(comm.realized), (u, v)
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_realization_and_functoriality_compose_nothing(monkeypatch):
+    w = ia_word(4, [conj(1, 2), comm_move(2, 3, 4, -1), conj(1, 2), conj(4, 1)])
+    expected = realized_by_composition(ia_word(4, w.gens))
+
+    def refuse(phi, psi):
+        raise AssertionError("compose called")
+
+    monkeypatch.setattr(autom, "compose", refuse)
+    assert w.realized == expected
+    assert check_functoriality(FIncIA(4), [1, 2], [1, 2, 3], [1, 2, 3, 4])
 
 
 def test_commute_goldens():
@@ -188,7 +243,7 @@ def test_disjoint_magnus_generators_commute():
 def test_abelianized_matrix_goldens():
     ident = tuple((1, 0) if i == 0 else (0, 1) for i in range(2))
     assert abelianized_matrix(identity_endo(2)) == ident
-    k12 = realize_generator(conj(1, 2), 2)
+    k12 = ia_word(2, [conj(1, 2)]).realized
     assert abelianized_matrix(k12) == ident
     assert ia_check(k12)
     trans = free_endo(2, {1: word([1, 2])})
@@ -220,7 +275,7 @@ def test_abelianized_matrix_multiplicative():
 
 def test_every_generator_is_ia():
     for g in all_magnus_tokens(4):
-        assert ia_check(realize_generator(g, 4))
+        assert ia_check(ia_word(4, [g]).realized)
 
 
 def test_conjugate_properties():

@@ -156,6 +156,26 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert "error: LCSFORGE_SEED must be an integer" in capsys.readouterr().err
 
 
+def test_ranges_without_sizes_rejected(capsys):
+    for argv in (
+        ["kneser", "--max-m", "0"],
+        ["kneser", "--max-n", "0", "--max-m", "2"],
+        ["kneser", "--max-n", "3", "--max-m", "4"],
+        ["kmm-raag", "--max-n", "0"],
+        ["kmm-raag", "--max-n", "-1"],
+    ):
+        assert main(argv) == 2, argv
+        assert "error: " in capsys.readouterr().err
+
+
+def test_ia_axioms_trivial_rank(tmp_path):
+    out = tmp_path / "n1.json"
+    assert main(["ia-axioms", "--n", "1", "--json", str(out)]) == 0
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["coverage-degree"]["detail"]["expected"] == 0
+    assert checks["coverage-degree"]["detail"]["degree"] == 0
+
+
 def test_jobs_range_checked_at_parsing(capsys):
     cpus = os.cpu_count() or 1
     for jobs in ("0", "-3", str(cpus + 1), "100000", "two"):

@@ -143,6 +143,7 @@ def test_two_step_general_mode():
     assert len(wit.middle) == m
     payload = wit.to_json()
     assert payload["ok"] and payload["middle"] == list(wit.middle)
+    assert payload["alpha"] == "identity"
 
 
 def test_two_step_exact_counting_bound():

@@ -12,7 +12,6 @@ from lcsforge.autom import (
     ia_word,
     identity_endo,
     invert_ia,
-    realize_generator,
 )
 from lcsforge.magnus import (
     TruncatedSeries,
@@ -169,7 +168,7 @@ def test_depth_filtration_property():
 
 def test_johnson_level_examples():
     assert johnson_level(identity_endo(3), 4) is None
-    k12 = realize_generator(conj(1, 2), 2)
+    k12 = ia_word(2, [conj(1, 2)]).realized
     assert johnson_level(k12, 4) == 1
     with pytest.raises(ValueError):
         johnson_level(free_endo(2, {1: word([1, 2])}), 4)
