@@ -353,8 +353,22 @@ class AutWitness:
             raise ValueError("inverse witness does not invert the automorphism")
 
     def conj_endo(self, phi: FreeEndo) -> FreeEndo:
-        """fwd . phi . fwd^-1."""
-        return compose(self.fwd, compose(phi, self.inv))
+        """fwd . phi . fwd^-1 without an intermediate endomorphism: x_i goes
+        to (fwd . phi)(inv(x_i)), substituted through one image map of
+        fwd . phi, and only the result is validated."""
+        rank = self.fwd.rank
+        if phi.rank != rank:
+            raise RankMismatch(f"ranks differ: {phi.rank} vs {rank}")
+        # fwd . phi on the generators: phi fixes every other x_j
+        outer = dict(self.fwd.images)
+        outer.update(
+            (j, _substitute(self.fwd._imap, rank, img.letters)) for j, img in phi.images
+        )
+        images = dict(outer)
+        images.update(
+            (i, _substitute(outer, rank, img.letters)) for i, img in self.inv.images
+        )
+        return free_endo(rank, images)
 
 
 def inner_lift(rank: int, w: Word) -> AutWitness:

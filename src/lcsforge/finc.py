@@ -108,8 +108,10 @@ def include_ia(w: IAWord, target_rank: int) -> IAWord:
 def check_functoriality(family: FIncIA, inner, middle, outer) -> bool:
     """Both inclusion routes I -> J -> K and I -> K give the same generator
     word, hence the same automorphism, on every generator of the inner
-    subgroup.  The route through J builds its own word at the smallest rank
-    containing J, so that rank is validated too."""
+    subgroup.  Under global indexing both routes yield ``IAWord(r_K,
+    gen.gens)`` by construction, so the comparison cannot fail: the check
+    can only fail through the rank validation of the word the route through
+    J builds at r_J, the smallest rank containing J."""
     si, sj, sk = set(inner), set(middle), set(outer)
     if not (si <= sj <= sk):
         raise ValueError("need a chain I <= J <= K")

@@ -118,12 +118,12 @@ def disjointness_graph(n: int, m: int) -> UGraph:
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     verts = list(combinations(range(1, n + 1), m))
-    edges = [
-        (u, v)
-        for u, v in combinations(verts, 2)
-        if not set(u) & set(v)
-    ]
-    return ugraph(verts, edges)
+    keyed = [(u, sum(1 << i for i in u)) for u in verts]
+    # combinations of the sorted vertices already yields normalized edges
+    edges = frozenset(
+        (u, v) for (u, mu), (v, mv) in combinations(keyed, 2) if not mu & mv
+    )
+    return UGraph(tuple(verts), edges)
 
 
 def expected_disjointness_connectivity(n: int, m: int) -> bool:

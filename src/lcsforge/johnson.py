@@ -3,9 +3,11 @@
 The first homology of the IA family is modelled on the basis
 ``e_a* (x) (e_b ^ e_c)`` with ``b < c``; coordinates are rationals keyed by
 triples ``(a, b, c)``.  The map ``tau`` reads the degree-2 leading term of
-``phi(x_i) x_i^-1`` off the Magnus series, and unimodular integer matrices
-act by inverse-transpose on the dual slot and by the wedge square of the
-standard action on the wedge slot.
+the Magnus series of ``phi(x_a) x_a^-1`` from its closed form, the
+Fox-calculus formula (Magnus-Karrass-Solitar, ch. 5), in one pass over the
+letters; no series is built.  Unimodular integer matrices act by
+inverse-transpose on the dual slot and by the wedge square of the standard
+action on the wedge slot.
 
 ``tilt_search`` replaces a density existence argument with an honest bounded
 breadth-first search over words in elementary matrices: it either exhibits a
@@ -21,9 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .autom import AutWitness, FreeEndo, IAWord, abelianized_matrix, ia_check
-from .magnus import magnus_embed
-from .words import Word, concat
+from .autom import AutWitness, FreeEndo, IAWord, abelianized_matrix
 
 __all__ = [
     "H1Vector",
@@ -139,19 +139,35 @@ def tau(phi: FreeEndo) -> H1Vector:
     """Degree-2 leading data of an IA endomorphism: the coefficient of
     e_a* (x) (e_b ^ e_c) is the antisymmetrized X_b X_c coefficient of the
     Magnus series of phi(x_a) x_a^-1, so the conjugation move K[a,b]
-    maps to e_a* (x) (e_b ^ e_a).  Additive under composition."""
-    if not ia_check(phi):
-        raise ValueError("tau needs an IA endomorphism")
-    coords: dict[Key, Fraction] = {}
-    for a in phi.moved_indices():
-        displaced = concat(phi.image(a), Word((-a,)))
-        series = magnus_embed(displaced, 3).as_dict()
-        for b in range(1, phi.rank + 1):
-            for c in range(b + 1, phi.rank + 1):
-                half = Fraction(series.get((b, c), 0) - series.get((c, b), 0), 2)
-                if half:
-                    coords[(a, b, c)] = half
-    return h1_vector(phi.rank, coords)
+    maps to e_a* (x) (e_b ^ e_a).  Additive under composition.
+
+    Each letter x^e is 1 + e X + (powers of X alone), so for b != c the
+    X_b X_c coefficient of a word y_1 ... y_L is the sum of e_p e_q over
+    p < q with y_p a power of x_b and y_q one of x_c (the Fox-calculus
+    formula, Magnus-Karrass-Solitar ch. 5).  One walk over phi(x_a) and then
+    x_a^-1 keeps the running exponent sums and adds prefix[b] * e_q for
+    every b < c.  The sums at the end of the walk are the abelianized
+    displacement, so phi is IA iff every walk ends at zero; then the X_c X_b
+    coefficient is minus the X_b X_c one, and the antisymmetrized
+    coefficient is the X_b X_c coefficient itself."""
+    n = phi.rank
+    coords: dict[Key, int] = {}
+    for a, img in phi.images:
+        prefix = [0] * (n + 1)
+        pairs = [[0] * (n + 1) for _ in range(n + 1)]
+        for v in img.letters + (-a,):
+            c, e = (v, 1) if v > 0 else (-v, -1)
+            for b in range(1, c):
+                if prefix[b]:
+                    pairs[b][c] += e * prefix[b]
+            prefix[c] += e
+        if any(prefix):
+            raise ValueError("tau needs an IA endomorphism")
+        for b in range(1, n + 1):
+            for c in range(b + 1, n + 1):
+                if pairs[b][c]:
+                    coords[(a, b, c)] = pairs[b][c]
+    return h1_vector(n, coords)
 
 
 # ---------------------------------------------------------------------------

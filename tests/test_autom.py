@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -301,6 +302,21 @@ def test_ia_word_serialization_roundtrip():
     assert text == "n=4:K[1,2];M[2,3,4]';K[4,1]'"
     assert parse_ia_word(text) == w
     assert parse_ia_word("n=3:") == identity_ia(3)
+
+
+def test_ia_word_serialization_roundtrip_seeded():
+    rng = random.Random(82)
+    texts = []
+    for n in range(1, 13):
+        toks = all_magnus_tokens(n)
+        for _ in range(25):
+            w = random_ia(rng, n, 6) if toks else identity_ia(n)
+            text = format_ia_word(w)
+            assert parse_ia_word(text) == w, text
+            texts.append(text)
+    assert "n=1:" in texts and "n=12:" in texts
+    assert any(re.search(r"K\[\d\d,\d\d\]'", t) for t in texts)
+    assert any(re.search(r"M\[\d+,\d+,\d\d\]'", t) for t in texts)
 
 
 def test_parse_ia_word_rejects_garbage():

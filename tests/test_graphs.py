@@ -36,6 +36,15 @@ def test_perfect_matching_case():
     assert len(comps) == 3
 
 
+def test_disjointness_graph_matches_pairwise_set_route():
+    # the route the bitmask construction replaced, kept as the reference
+    for m in range(1, 6):
+        for n in range(m, 13):
+            verts = list(combinations(range(1, n + 1), m))
+            pairs = [(u, v) for u, v in combinations(verts, 2) if not set(u) & set(v)]
+            assert disjointness_graph(n, m) == ugraph(verts, pairs), (n, m)
+
+
 def test_single_vertex():
     g = disjointness_graph(3, 3)
     assert len(g.vertices) == 1

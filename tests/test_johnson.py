@@ -5,11 +5,13 @@ from itertools import combinations, permutations, product
 import pytest
 
 from lcsforge.autom import (
+    RankMismatch,
     abelianized_matrix,
     comm_move,
     compose,
     conj,
     free_endo,
+    ia_check,
     ia_word,
     identity_endo,
     inner_lift,
@@ -37,7 +39,8 @@ from lcsforge.johnson import (
     tau,
     tilt_search,
 )
-from lcsforge.words import word
+from lcsforge.magnus import magnus_embed
+from lcsforge.words import Word, concat, invert, word
 
 
 def test_tau_goldens():
@@ -67,6 +70,111 @@ def test_tau_vanishes_above_level_one():
     fam = FIncIA(6)
     for w, _ in enumerate_normal_generators(fam, 2, budget=250):
         assert tau(w.realized).is_zero()
+
+
+def tau_by_magnus_series(phi):
+    """The route tau replaced, kept as the reference: antisymmetrize the
+    X_b X_c coefficients of the cutoff-3 Magnus series of each displaced
+    word phi(x_a) x_a^-1, after a separate IA check."""
+    if not ia_check(phi):
+        raise ValueError("tau needs an IA endomorphism")
+    coords = {}
+    for a in phi.moved_indices():
+        series = magnus_embed(concat(phi.image(a), Word((-a,))), 3).as_dict()
+        for b in range(1, phi.rank + 1):
+            for c in range(b + 1, phi.rank + 1):
+                half = Fraction(series.get((b, c), 0) - series.get((c, b), 0), 2)
+                if half:
+                    coords[(a, b, c)] = half
+    return h1_vector(phi.rank, coords)
+
+
+def tau_outcome(route, phi):
+    try:
+        return route(phi)
+    except ValueError:
+        return "not IA"
+
+
+def random_word(rng, n, length):
+    """Reduced random word with runs of one signed letter, inverses included."""
+    letters = []
+    while len(letters) < length:
+        v = rng.randint(1, n) * rng.choice((1, -1))
+        letters += [v] * rng.randint(1, 4)
+    return word(letters[:length])
+
+
+def random_ia_endo(rng, n):
+    """A realized word in signed Magnus generators on a random index subset,
+    so that some generators stay unmoved at rank n."""
+    idx = rng.sample(range(1, n + 1), rng.randint(2, n))
+    toks = [conj(a, b) for a in idx for b in idx if a != b]
+    toks += [comm_move(a, b, c) for a in idx for b in idx for c in idx
+             if a not in (b, c) and b < c]
+    gens = []
+    for _ in range(rng.randint(0, 8)):
+        g = rng.choice(toks)
+        gens += [g if rng.random() < 0.5 else g.inverse()] * rng.randint(1, 3)
+    return ia_word(n, gens).realized
+
+
+def random_lift(rng, n):
+    kind = rng.choice(("perm", "transvection", "inner"))
+    if kind == "perm":
+        perm = rng.sample(range(1, n + 1), n)
+        signs = [rng.choice((1, -1)) for _ in range(n)]
+        return signed_permutation_lift(n, perm, signs)
+    if kind == "transvection":
+        a, b = rng.sample(range(1, n + 1), 2)
+        return transvection_lift(n, a, b, rng.choice((1, -1)))
+    return inner_lift(n, random_word(rng, n, rng.randint(1, 4)))
+
+
+def random_endo_inputs(rng, n):
+    """IA words, their conjugates by lifts, long hand-built IA endomorphisms
+    (x_a -> u x_a u^-1 or x_a [u, v] with runs of inverse letters) and
+    endomorphisms that are almost never IA."""
+    phi = random_ia_endo(rng, n)
+    lift = random_lift(rng, n)
+    a, b = rng.sample(range(1, n + 1), 2)
+    u = random_word(rng, n, rng.randint(5, 20))
+    v = random_word(rng, n, rng.randint(5, 20))
+    x = Word((a,))
+    long_conj = free_endo(n, {a: concat(u, x, invert(u))})
+    long_comm = free_endo(
+        n,
+        {a: concat(x, u, v, invert(u), invert(v)), b: concat(v, Word((b,)), invert(v))},
+    )
+    moved = rng.sample(range(1, n + 1), rng.randint(1, n))
+    wild = free_endo(n, {i: random_word(rng, n, rng.randint(1, 6)) for i in moved})
+    return [phi, lift.conj_endo(phi), long_conj, long_comm, wild], lift
+
+
+def test_tau_matches_magnus_series_route():
+    rng = random.Random(80)
+    outcomes = set()
+    for _ in range(120):
+        n = rng.randint(2, 6)
+        inputs, _ = random_endo_inputs(rng, n)
+        for phi in inputs:
+            got = tau_outcome(tau, phi)
+            assert got == tau_outcome(tau_by_magnus_series, phi), phi
+            outcomes.add(got == "not IA")
+    assert outcomes == {True, False}
+
+
+def test_conj_endo_matches_composition_route():
+    rng = random.Random(81)
+    for _ in range(120):
+        n = rng.randint(2, 6)
+        inputs, lift = random_endo_inputs(rng, n)
+        for phi in inputs:
+            assert lift.conj_endo(phi) == compose(lift.fwd, compose(phi, lift.inv))
+        with pytest.raises(RankMismatch):
+            lift.conj_endo(identity_endo(n + 1))
+        with pytest.raises(RankMismatch):
+            lift.conj_endo(identity_endo(n - 1))
 
 
 def test_h1_dimension_and_keys():
