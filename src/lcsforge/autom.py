@@ -105,7 +105,7 @@ def identity_endo(rank: int) -> FreeEndo:
 def _substitute(imap: Mapping[int, Word], rank: int, letters: Iterable[int]) -> Word:
     """Substitute the images in imap (absent indices are fixed) through the
     letters and reduce."""
-    pieces: list[tuple[int, ...]] = []
+    pieces: list[Iterable[int]] = []
     for v in letters:
         i = abs(v)
         if i > rank:
@@ -114,7 +114,7 @@ def _substitute(imap: Mapping[int, Word], rank: int, letters: Iterable[int]) -> 
         if img is None:
             pieces.append((v,))
         else:
-            pieces.append(img.letters if v > 0 else invert(img).letters)
+            pieces.append(img.letters if v > 0 else [-u for u in reversed(img.letters)])
     return Word(_reduce(pieces))
 
 

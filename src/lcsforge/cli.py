@@ -223,11 +223,6 @@ def suite_ia_axioms(params: dict) -> SuiteReport:
 KMM_MAX_CHARACTERS = 10**7
 
 
-def _sweep_one(graph: bns.RAAGPresentation) -> bns.SweepReport:
-    grid = bns.character_grid(graph.n_vertices)
-    return bns.soundness_sweep(graph, grid)
-
-
 def suite_kmm_raag(params: dict) -> SuiteReport:
     params = dict(params)
     force = params.pop("force", False)
@@ -236,6 +231,10 @@ def suite_kmm_raag(params: dict) -> SuiteReport:
     graph = bns.raag_from_text(Path(graph_file).read_text()) if graph_file else None
     # 4 grid values per vertex, on one graph or on every labeled graph on v vertices
     if graph is not None:
+        if graph.n_vertices < 1:
+            raise ValueError(
+                f"kmm-raag needs a graph with vertex count >= 1, got {graph.n_vertices}"
+            )
         cost = 4**graph.n_vertices
     elif params["max_n"] < 1:
         raise ValueError(f"kmm-raag needs max_n >= 1, got {params['max_n']}")
@@ -249,15 +248,15 @@ def suite_kmm_raag(params: dict) -> SuiteReport:
     if graph is not None:
 
         def run():
-            sweep = _sweep_one(graph)
+            sweep = bns.grid_sweep(graph)
             violations = sweep.soundness_violations
             return not violations, {
                 "summary": (
-                    f"{len(sweep.records)} characters, "
+                    f"{sweep.characters} characters, "
                     f"{sweep.certificates} certificates, "
                     f"{len(violations)} violations"
                 ),
-                "characters": len(sweep.records),
+                "characters": sweep.characters,
                 "certificates": sweep.certificates,
                 "oracle_true_kmm_fail": sweep.oracle_true_kmm_fail,
                 "violations": [
@@ -278,8 +277,8 @@ def suite_kmm_raag(params: dict) -> SuiteReport:
             n_graphs = 0
             for graph in bns.all_graphs(v):
                 n_graphs += 1
-                sweep = _sweep_one(graph)
-                total_chars += len(sweep.records)
+                sweep = bns.grid_sweep(graph)
+                total_chars += sweep.characters
                 total_certs += sweep.certificates
                 for r in sweep.soundness_violations:
                     violations.append(
@@ -303,10 +302,10 @@ def suite_kmm_raag(params: dict) -> SuiteReport:
 
     def run_f2():
         edgeless = bns.raag(2, [])
-        sweep = _sweep_one(edgeless)
+        sweep = bns.grid_sweep(edgeless)
         return sweep.certificates == 0, {
             "summary": f"{sweep.certificates} certificates on the free pair",
-            "characters": len(sweep.records),
+            "characters": sweep.characters,
             "certificates": sweep.certificates,
         }
 

@@ -214,16 +214,18 @@ def test_c6_kmm_soundness():
     for v in range(1, 6):
         for graph in bns.all_graphs(v):
             graphs_seen += 1
-            sweep = bns.soundness_sweep(graph, bns.character_grid(v))
-            characters += len(sweep.records)
+            sweep = bns.grid_sweep(graph)
+            characters += sweep.characters
             certificates += sweep.certificates
             violations.extend(
                 (sorted(graph.edges), r.char_values)
                 for r in sweep.soundness_violations
             )
-    f2 = bns.soundness_sweep(bns.raag(2, []), bns.character_grid(2))
+    f2 = bns.grid_sweep(bns.raag(2, []))
     elapsed = time.perf_counter() - start
-    ok = not violations and f2.certificates == 0 and elapsed < 300
+    # the counts of the per-character route over the same grids
+    counts = (graphs_seen, characters, certificates, f2.characters, f2.certificates)
+    ok = not violations and counts == (1099, 1064409, 541389, 15, 0) and elapsed < 300
     _line(
         "C6",
         ok,
@@ -232,7 +234,7 @@ def test_c6_kmm_soundness():
         f"free-pair certificates {f2.certificates}, {elapsed:.0f}s",
     )
     assert not violations
-    assert f2.certificates == 0
+    assert counts == (1099, 1064409, 541389, 15, 0)
     assert elapsed < 300
 
 

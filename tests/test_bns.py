@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -263,6 +264,58 @@ def test_soundness_sweep_matches_per_character_route(monkeypatch):
             assert len(calls[name]) == len(supports)
             assert set(calls[name]) == supports
     assert reasons == {None, "commutation-graph-disconnected", "undominated-element"}
+
+
+def test_grid_sweep_matches_per_character_route(monkeypatch):
+    """The weighted sweep of one representative per support gives the
+    per-character route's counts and violations on random graphs; each
+    representative is the first grid character with its support; the
+    criterion and the oracle run once per nonzero support; and a violation,
+    forced by an oracle that rejects some certified supports, makes it
+    return the per-character records themselves."""
+    rng = random.Random(90)
+    real_kmm, real_oracle = bns.kmm_check, bns.mv_oracle
+    calls = {"kmm": [], "oracle": []}
+    lying = [False]
+
+    def counted_kmm(ctx, char, a_elements, b_elements, attested):
+        calls["kmm"].append(_support(char, ctx.graph))
+        return real_kmm(ctx, char, a_elements, b_elements, attested)
+
+    def counted_oracle(g, char):
+        calls["oracle"].append(_support(char, g))
+        # the lie: no support that contains vertex 1 passes
+        return real_oracle(g, char) and not (lying[0] and char.value(1) != 0)
+
+    monkeypatch.setattr(bns, "kmm_check", counted_kmm)
+    monkeypatch.setattr(bns, "mv_oracle", counted_oracle)
+    fallbacks = 0
+    for lie in (False, True):
+        lying[0] = lie
+        for trial in range(18):
+            n = 1 + trial % 6
+            pairs = list(combinations(range(1, n + 1), 2))
+            g = raag(n, [p for p in pairs if rng.random() < 0.6])
+            calls["kmm"].clear()
+            calls["oracle"].clear()
+            got = bns.grid_sweep(g)
+            swept = {name: list(c) for name, c in calls.items()}
+            want = soundness_sweep(g, character_grid(n))
+            assert got.characters == len(want.records)
+            assert got.certificates == want.certificates
+            assert got.oracle_true_kmm_fail == want.oracle_true_kmm_fail
+            assert got.soundness_violations == want.soundness_violations
+            if want.soundness_violations:
+                fallbacks += 1
+                assert got.records == want.records
+                continue
+            first = {}
+            for r in want.records:
+                first.setdefault(tuple(x != 0 for x in r.char_values), r)
+            assert [replace(r, weight=1) for r in got.records] == list(first.values())
+            for name in ("kmm", "oracle"):
+                assert len(swept[name]) == len(set(swept[name])) == 2**n - 1
+    assert fallbacks > 0
 
 
 def test_character_grid_matches_character():

@@ -156,7 +156,7 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert "error: LCSFORGE_SEED must be an integer" in capsys.readouterr().err
 
 
-def test_ranges_without_sizes_rejected(capsys):
+def test_ranges_without_sizes_rejected(capsys, tmp_path):
     for argv in (
         ["kneser", "--max-m", "0"],
         ["kneser", "--max-n", "0", "--max-m", "2"],
@@ -166,6 +166,12 @@ def test_ranges_without_sizes_rejected(capsys):
     ):
         assert main(argv) == 2, argv
         assert "error: " in capsys.readouterr().err
+    for count in ("0", "-1"):
+        graph = tmp_path / f"g{count}.txt"
+        graph.write_text(f"{count}\n")
+        assert main(["kmm-raag", "--graph", str(graph)]) == 2, count
+        err = capsys.readouterr().err
+        assert "error: " in err and "vertex count" in err, err
 
 
 def test_ia_axioms_trivial_rank(tmp_path):
