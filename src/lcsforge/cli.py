@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
 from multiprocessing import Pool
-from pathlib import Path
 
 from . import autom, bns, finc, graphs, johnson, magnus, words
 
@@ -228,7 +227,11 @@ def suite_kmm_raag(params: dict) -> SuiteReport:
     force = params.pop("force", False)
     report = SuiteReport("kmm-raag", params)
     graph_file = params.get("graph")
-    graph = bns.raag_from_text(Path(graph_file).read_text()) if graph_file else None
+    graph = None
+    if graph_file:
+        # not pathlib, which interns every path part: many files grow the peak memory
+        with open(graph_file) as fh:
+            graph = bns.raag_from_text(fh.read())
     # 4 grid values per vertex, on one graph or on every labeled graph on v vertices
     if graph is not None:
         if graph.n_vertices < 1:
