@@ -165,7 +165,12 @@ def ia_check(phi: FreeEndo) -> bool:
 @dataclass(frozen=True)
 class IAGenerator:
     """A signed Magnus generator: kind 'conj' is K[a,b], kind 'comm' is
-    M[a,b,c] with b < c; sign -1 denotes the inverse move."""
+    M[a,b,c] with b < c; sign -1 denotes the inverse move.
+
+    ``indices`` and the image letters are computed once, on construction,
+    and the inverse once, on first use; the inverse's inverse is this
+    object.  They are not fields: equality, hash and pickling see only the
+    five fields, and unpickling constructs (and validates) afresh."""
 
     kind: str
     a: int
@@ -181,6 +186,9 @@ class IAGenerator:
                 raise ValueError("conj takes two indices")
             if self.a == self.b or min(self.a, self.b) < 1:
                 raise ValueError(f"bad conj indices ({self.a},{self.b})")
+            u = self.sign * self.b
+            indices = frozenset((self.a, self.b))
+            image = (u, self.a, -u)
         elif self.kind == "comm":
             if self.c is None:
                 raise ValueError("comm takes three indices")
@@ -188,27 +196,31 @@ class IAGenerator:
                 raise ValueError(f"bad comm indices ({self.a},{self.b},{self.c})")
             if not self.b < self.c:
                 raise ValueError("comm requires b < c")
+            p, q = (self.b, self.c) if self.sign > 0 else (self.c, self.b)
+            indices = frozenset((self.a, self.b, self.c))
+            image = (self.a, p, q, -p, -q)
         else:
             raise ValueError(f"unknown generator kind {self.kind!r}")
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "_image", image)
+        object.__setattr__(self, "_inverse", None)
 
-    @property
-    def indices(self) -> frozenset[int]:
-        if self.kind == "conj":
-            return frozenset((self.a, self.b))
-        return frozenset((self.a, self.b, self.c))
+    def __reduce__(self):
+        return IAGenerator, (self.kind, self.a, self.b, self.c, self.sign)
 
     def image_letters(self) -> tuple[int, ...]:
         """The letters of the image of x_a, the one generator moved:
         u x_a u^-1 with u = x_b^sign for K, x_a [p, q] for M, where
         (p, q) = (x_b, x_c), or (x_c, x_b) for the inverse move."""
-        if self.kind == "conj":
-            u = self.sign * self.b
-            return (u, self.a, -u)
-        p, q = (self.b, self.c) if self.sign > 0 else (self.c, self.b)
-        return (self.a, p, q, -p, -q)
+        return self._image
 
     def inverse(self) -> "IAGenerator":
-        return IAGenerator(self.kind, self.a, self.b, self.c, -self.sign)
+        inv = self._inverse
+        if inv is None:
+            inv = IAGenerator(self.kind, self.a, self.b, self.c, -self.sign)
+            object.__setattr__(inv, "_inverse", self)
+            object.__setattr__(self, "_inverse", inv)
+        return inv
 
     def token(self) -> str:
         body = (
@@ -267,8 +279,12 @@ def identity_ia(rank: int) -> IAWord:
     return IAWord(rank)
 
 
+def _inverse_gens(gens: tuple[IAGenerator, ...]) -> tuple[IAGenerator, ...]:
+    return tuple(g.inverse() for g in reversed(gens))
+
+
 def invert_ia(u: IAWord) -> IAWord:
-    return IAWord(u.rank, tuple(g.inverse() for g in reversed(u.gens)))
+    return IAWord(u.rank, _inverse_gens(u.gens))
 
 
 def concat_ia(*ws: IAWord) -> IAWord:

@@ -262,12 +262,16 @@ class RAAGContext:
             self._commute_cache[key] = hit
         return hit
 
-    def char_value(self, char: Character, w: RAAGWord) -> Fraction:
+    def char_values(self, char: Character, ws: Sequence[RAAGWord]) -> list[Fraction]:
+        """The character's value on each word, from one value map."""
         vals = char.as_dict()
-        total = Fraction(0)
-        for v in w.letters:
-            total += vals[abs(v)] if v > 0 else -vals[abs(v)]
-        return total
+        out = []
+        for w in ws:
+            total = Fraction(0)
+            for v in w.letters:
+                total += vals[abs(v)] if v > 0 else -vals[abs(v)]
+            out.append(total)
+        return out
 
     def format_element(self, w: RAAGWord) -> list[int]:
         return list(w.letters)
@@ -346,8 +350,7 @@ def kmm_check(
         return KMMFailure("empty-A")
 
     survival = []
-    for i, a in enumerate(a_elements):
-        v = ctx.char_value(char, a)
+    for i, v in enumerate(ctx.char_values(char, a_elements)):
         if v == 0:
             return KMMFailure("A-does-not-survive", (i,))
         survival.append((i, v))
@@ -387,8 +390,7 @@ def certificate_revalidate(
     if char.is_zero() or not cert.a_elements or not cert.generation_attested:
         return False
     recorded = dict(cert.survival)
-    for i, a in enumerate(cert.a_elements):
-        v = ctx.char_value(char, a)
+    for i, v in enumerate(ctx.char_values(char, cert.a_elements)):
         if v == 0 or recorded.get(i) != v:
             return False
     reached = {0}

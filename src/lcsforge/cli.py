@@ -85,10 +85,27 @@ def _timed(report: SuiteReport, name: str, fn) -> CheckRecord:
 # depth
 
 
+# Above this many monomials depth refuses to start without --force.
+DEPTH_MAX_MONOMIALS = 10**6
+
+
 def suite_depth(params: dict) -> SuiteReport:
-    report = SuiteReport("depth", dict(params))
+    params = dict(params)
+    force = params.pop("force", False)
+    report = SuiteReport("depth", params)
     w = words.parse_word(params["word"])
     cutoff = params["cutoff"]
+    if cutoff < 2:
+        raise ValueError(f"depth needs cutoff >= 2, got {cutoff}")
+    # the sum over i <= cutoff of n^i monomials in the support's n letters;
+    # for n >= 2 it passes the bound long before degree 64
+    n = len(words.support(w))
+    cost = cutoff + 1 if n == 1 else (n ** (min(cutoff, 64) + 1) - 1) // (n - 1)
+    if cost > DEPTH_MAX_MONOMIALS and not force:
+        raise ValueError(
+            f"depth would expand at least {cost} monomials, more than "
+            f"{DEPTH_MAX_MONOMIALS}; pass --force to run it anyway"
+        )
 
     def run():
         d = magnus.lcs_depth(w, cutoff)
@@ -576,6 +593,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("depth", help="lower-central-series depth of a word")
     p.add_argument("--word", required=True, help="dot-joined letters, e.g. x1.x2.X1.X2")
     p.add_argument("--cutoff", type=int, default=4)
+    p.add_argument("--force", action="store_true", help="expand even above the cost bound")
 
     p = add("kneser", help="subset-disjointness connectivity table")
     p.add_argument("--max-n", type=int, default=12)

@@ -21,12 +21,12 @@ from itertools import combinations
 from .autom import (
     IAGenerator,
     IAWord,
+    RankMismatch,
+    _inverse_gens,
     comm_move,
     commute,
-    concat_ia,
     conj,
     ia_word,
-    invert_ia,
     is_identity,
 )
 
@@ -196,11 +196,15 @@ def generation_degree_coverage(family: FIncIA) -> int:
 
 
 def left_normed_commutator(factors: list[IAWord]) -> IAWord:
-    """[s1, [s2, ... [s_{k-1}, s_k]]] as a generator word."""
-    out = factors[-1]
+    """[s1, [s2, ... [s_{k-1}, s_k]]] as a generator word: one generator
+    tuple, folded from the inside out, and one validated ``IAWord``."""
+    ranks = {s.rank for s in factors}
+    if len(ranks) > 1:
+        raise RankMismatch(f"ranks differ: {sorted(ranks)}")
+    out = factors[-1].gens
     for s in reversed(factors[:-1]):
-        out = concat_ia(s, out, invert_ia(s), invert_ia(out))
-    return out
+        out = s.gens + out + _inverse_gens(s.gens) + _inverse_gens(out)
+    return IAWord(factors[-1].rank, out)
 
 
 def _support_completion(support: frozenset[int], size: int, n: int) -> tuple[int, ...]:

@@ -20,7 +20,13 @@ time.  ``johnson_level`` takes two routes:
 * an ``IAWord`` (a word in Magnus generators) by generator substitution: the
   series of phi(x_j) are built generator by generator from short products
   (``_substituted_series``); nothing on this route reads the realized
-  images, since an ``IAWord`` is IA by construction;
+  images, since an ``IAWord`` is IA by construction.  A step whose letters
+  all still carry their plain letter series depends only on the generator,
+  the wanted signs and the cutoff, so it is memoized (``_fresh_step``, a
+  bounded cache of immutable series).  The depth of phi(x_i) x_i^-1 is read
+  off S_i = series(phi(x_i)) without multiplying by x_i^-1: S_i x_i^-1 - 1 =
+  (S_i - 1 - X_i) x_i^-1, and x_i^-1 has constant term 1, so both sides have
+  the same least nonzero degree;
 * a ``FreeEndo``, which carries no generator word, by embedding each image
   word letter by letter through ``magnus_embed``.
 
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from .autom import FreeEndo, IAWord, ia_check
+from .autom import FreeEndo, IAGenerator, IAWord, ia_check
 from .words import Word, commutator, concat, word
 
 __all__ = [
@@ -182,6 +188,43 @@ def _bracket(x: Series, y: Series, cutoff: int) -> Series:
     return _by_degree(_mul_dicts(y1, x1, cutoff, _mul_dicts(x1, y1, cutoff), -1))
 
 
+def _step(
+    a: int,
+    letters: tuple[int, ...],
+    want: tuple[int, ...],
+    current: Callable[[int], Series],
+    cutoff: int,
+) -> dict[int, dict[Monomial, int]]:
+    """The new series of the wanted signs of x_a after the Magnus generator
+    with image letters ``letters`` (of x_a), given the current series of the
+    letters it reads."""
+    new = {}
+    if len(letters) == 3:  # u x_a u^-1
+        u = letters[0]
+        for y in want:
+            uy = _bracket(current(u), current(y), cutoff)
+            new[y] = _mul_dicts(uy, current(-u), cutoff, dict(current(y)))
+    else:  # x_a p q p^-1 q^-1
+        p, q = letters[1], letters[2]
+        pq = _bracket(current(p), current(q), cutoff)
+        if a in want:
+            head = _product((current(a), pq, current(-p)), cutoff)
+            new[a] = _mul_dicts(head.items(), current(-q), cutoff, dict(current(a)))
+        if -a in want:
+            head = _product((pq, current(-q), current(-p)), cutoff)
+            new[-a] = _mul_dicts(head.items(), current(-a), cutoff, dict(current(-a)), -1)
+    return new
+
+
+@lru_cache(maxsize=512)
+def _fresh_step(g: IAGenerator, want: tuple[int, ...], cutoff: int) -> tuple:
+    """``_step`` of g on plain letter series, which depends only on g, the
+    wanted signs and the cutoff: (sign, series) pairs.  The cached series are
+    tuples, so no caller can mutate them."""
+    new = _step(g.a, g.image_letters(), want, lambda v: _letter_series(v, cutoff), cutoff)
+    return tuple((y, tuple(_by_degree(terms))) for y, terms in new.items())
+
+
 def _substituted_series(phi: IAWord, cutoff: int) -> dict[int, Series]:
     """The series of phi(x_j) for every j some generator of phi moves.
 
@@ -197,19 +240,24 @@ def _substituted_series(phi: IAWord, cutoff: int) -> dict[int, Series]:
 
     whose correction terms start in degree 2, so the partial products never
     carry the low-degree terms that cancel.  A backward pass first marks the
-    series a later step or the result reads; the others are never built.
+    series a later step or the result reads; the others are never built.  A
+    step none of whose letters has been replaced yet reads only plain letter
+    series, and is taken from the ``_fresh_step`` memo.
     """
-    moves = [(g.a, g.image_letters()) for g in phi.gens]
-    moved = {a for a, _ in moves}
-    live = set(moved)
+    gens = phi.gens
+    live = {g.a for g in gens}
+    moved = set(live)
     wanted = []
-    for a, letters in reversed(moves):
-        reads = {v for u in letters if abs(u) != a for v in (u, -u)}
-        want = [y for y in (a, -a) if y in live]
+    for g in reversed(gens):
+        a = g.a
+        reads = {v for u in g.image_letters() if abs(u) != a for v in (u, -u)}
+        want = tuple(y for y in (a, -a) if y in live)
         live -= {a, -a}
-        for y in want:
-            live |= reads | {y}
-        wanted.append(want)
+        if want:
+            live |= reads
+            live.update(want)
+            reads.update(want)
+        wanted.append((want, reads))
     wanted.reverse()
 
     series: dict[int, Series] = {}
@@ -218,25 +266,14 @@ def _substituted_series(phi: IAWord, cutoff: int) -> dict[int, Series]:
         found = series.get(v)
         return _letter_series(v, cutoff) if found is None else found
 
-    for (a, letters), want in zip(moves, wanted):
-        new = {}
-        if len(letters) == 3:  # u x_a u^-1
-            u = letters[0]
-            for y in want:
-                uy = _bracket(current(u), current(y), cutoff)
-                new[y] = _mul_dicts(uy, current(-u), cutoff, dict(current(y)))
-        elif want:  # x_a p q p^-1 q^-1
-            p, q = letters[1], letters[2]
-            pq = _bracket(current(p), current(q), cutoff)
-            if a in want:
-                head = _product((current(a), pq, current(-p)), cutoff)
-                new[a] = _mul_dicts(head.items(), current(-q), cutoff, dict(current(a)))
-            if -a in want:
-                head = _product((pq, current(-q), current(-p)), cutoff)
-                new[-a] = _mul_dicts(
-                    head.items(), current(-a), cutoff, dict(current(-a)), -1
-                )
-        series.update((y, _by_degree(terms)) for y, terms in new.items())
+    for g, (want, reads) in zip(gens, wanted):
+        if not want:
+            continue
+        if series.keys().isdisjoint(reads):
+            series.update(_fresh_step(g, want, cutoff))
+        else:
+            new = _step(g.a, g.image_letters(), want, current, cutoff)
+            series.update((y, _by_degree(terms)) for y, terms in new.items())
     return {a: series[a] for a in moved}
 
 
@@ -266,7 +303,9 @@ def johnson_level(phi: FreeEndo | IAWord, cutoff: int) -> int | None:
     at cutoffs 3, 4, ... in turn: a depth d shows exactly at every cutoff
     >= d, so the first cutoff that shows one gives the least depth, and a
     word of level >= k never pays for the degrees above k + 1.  (Depth 2
-    shows at cutoff 3 too, for little more than at cutoff 2.)  A ``FreeEndo``
+    shows at cutoff 3 too, for little more than at cutoff 2.)  The depth of
+    phi(x_i) x_i^-1 is the least nonzero degree of S_i - 1 - X_i, where S_i
+    is the series of phi(x_i) (see the module docstring).  A ``FreeEndo``
     must pass the IA check, which an ``IAWord`` passes by construction; it is
     read at the full cutoff by embedding each displaced image word letter by
     letter.
@@ -277,8 +316,14 @@ def johnson_level(phi: FreeEndo | IAWord, cutoff: int) -> int | None:
     if isinstance(phi, IAWord):
 
         def depth(i: int, bound: int) -> int | None:
-            terms = _mul_dicts(series[i], _letter_series(-i, bound), bound)
-            return min((len(m) for m in terms if m), default=None)
+            # the least degree of S_i - 1 - X_i; S_i is in nondecreasing degree
+            xi = (i,)
+            for m, c in series[i]:
+                if len(m) > bound:
+                    break
+                if m and (m != xi or c != 1):
+                    return len(m)
+            return None
 
         for limit in range(min(3, cutoff), cutoff + 1):
             series = _substituted_series(phi, limit)

@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from lcsforge import bns
+from lcsforge import bns, magnus
 from lcsforge.cli import _build_parser, main, run_suite
 
 
@@ -207,3 +207,44 @@ def test_json_report_deterministic(tmp_path):
     assert [c["name"] for c in a["checks"]] == sorted(
         c["name"] for c in a["checks"]
     )
+
+
+def test_depth_cost_guard(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "depth.json"
+    assert main(["depth", "--word", "x1.x2.X1.X2", "--cutoff", "4", "--json", str(path)]) == 0
+    assert json.loads(path.read_text())["parameters"] == {"word": "x1.x2.X1.X2", "cutoff": 4}
+    forced = run_suite("depth", {"word": "x1.x2.X1.X2", "cutoff": 4, "force": True})
+    assert forced.parameters == {"word": "x1.x2.X1.X2", "cutoff": 4}
+
+    class Started(Exception):
+        pass
+
+    def depth(w, cutoff):
+        raise Started
+
+    monkeypatch.setattr(magnus, "lcs_depth", depth)
+    ten = ".".join(f"x{i}" for i in range(1, 11))
+    # sum of n^i over i <= cutoff for support size n: 3 letters to degree 12
+    # is 797161 monomials and to 13 is 2391484; 10 letters to degree 5 is
+    # 111111 and to 6 is 1111111; one letter to degree c is c + 1
+    cases = [
+        ("x1.x2.X3", 12, True),
+        ("x1.x2.X3", 13, False),
+        (ten, 5, True),
+        (ten, 6, False),
+        ("X1", 10**6 - 1, True),
+        ("X1", 10**6, False),
+        ("e", 10**9, True),
+    ]
+    for text, cutoff, admitted in cases:
+        argv = ["depth", "--word", text, "--cutoff", str(cutoff)]
+        if admitted:
+            with pytest.raises(Started):
+                main(argv)
+        else:
+            assert main(argv) == 2
+            assert "--force" in capsys.readouterr().err
+            with pytest.raises(Started):
+                main(argv + ["--force"])
+    assert main(["depth", "--word", "x1", "--cutoff", "1"]) == 2
+    assert "cutoff >= 2" in capsys.readouterr().err

@@ -1,8 +1,19 @@
+import pickle
+import random
 from itertools import product
 
 import pytest
 
-from lcsforge.autom import conj, ia_word, is_identity
+from lcsforge.autom import (
+    IAGenerator,
+    RankMismatch,
+    comm_move,
+    concat_ia,
+    conj,
+    ia_word,
+    invert_ia,
+    is_identity,
+)
 from lcsforge.finc import (
     DEFAULT_TUPLE_BUDGET,
     FIncIA,
@@ -182,3 +193,54 @@ def test_left_normed_commutator_shape():
     gens = magnus_generators(fam)
     w = left_normed_commutator([gens[0], gens[1], gens[2]])
     assert len(w.gens) == 10  # s1 [s2,s3] s1^-1 [s2,s3]^-1
+
+
+def fold_left_normed_commutator(factors):
+    """The reference fold: three IAWords per bracket, through concat_ia and
+    invert_ia."""
+    out = factors[-1]
+    for s in reversed(factors[:-1]):
+        out = concat_ia(s, out, invert_ia(s), invert_ia(out))
+    return out
+
+
+def random_factor(rng, rank):
+    gens = []
+    for _ in range(rng.randint(1, 2)):
+        sign = rng.choice((1, -1))
+        if rng.random() < 0.5:
+            gens.append(conj(*rng.sample(range(1, rank + 1), 2), sign=sign))
+        else:
+            a, b, c = rng.sample(range(1, rank + 1), 3)
+            gens.append(comm_move(a, min(b, c), max(b, c), sign))
+    return ia_word(rank, gens)
+
+
+def test_left_normed_commutator_matches_fold_and_caches_hold():
+    rng = random.Random(20261018)
+    checked = 0
+    for k in range(1, 5):
+        for _ in range(25):
+            rank = rng.randint(3, 7)
+            factors = [random_factor(rng, rank) for _ in range(k)]
+            w = left_normed_commutator(factors)
+            ref = fold_left_normed_commutator(factors)
+            assert (w.rank, w.gens) == (ref.rank, ref.gens)
+            for g in w.gens:
+                checked += 1
+                assert g.inverse().inverse() is g
+                fresh = IAGenerator(g.kind, g.a, g.b, g.c, g.sign)
+                assert g.indices == fresh.indices == {g.a, g.b, g.c} - {None}
+                assert g.image_letters() == fresh.image_letters()
+                assert g.inverse() == fresh.inverse()
+                assert g.inverse().sign == -g.sign
+                back = pickle.loads(pickle.dumps(g))
+                assert back == g and hash(back) == hash(g)
+                assert back.indices == g.indices
+                assert back.image_letters() == g.image_letters()
+                assert back.inverse().inverse() is back
+            back = pickle.loads(pickle.dumps(w))
+            assert back == w and hash(back) == hash(w)
+    assert checked > 1000
+    with pytest.raises(RankMismatch):
+        left_normed_commutator([ia_word(3, [conj(1, 2)]), ia_word(4, [conj(1, 2)])])

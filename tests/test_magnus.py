@@ -1,3 +1,4 @@
+import copy
 import random
 from itertools import product
 
@@ -13,8 +14,11 @@ from lcsforge.autom import (
     identity_endo,
     invert_ia,
 )
+from lcsforge import magnus
+from lcsforge.finc import FIncIA, enumerate_normal_generators
 from lcsforge.magnus import (
     TruncatedSeries,
+    _fresh_step,
     _mul_dicts,
     _substituted_series,
     expand_bracket,
@@ -274,6 +278,53 @@ def test_substitution_level_matches_letter_route():
                     assert dict(terms) == (images[i].as_dict() if i in images else fixed)
     assert inverse_steps > 0
     assert {1, 2, 3, None} <= levels
+
+
+def k2_levels(budget):
+    """The k = 2 filtration elements at n = 6 with their levels at cutoff 4,
+    as the normal-gens suite computes them."""
+    out = enumerate_normal_generators(FIncIA(6), 2, budget=budget)
+    return [(w, johnson_level(w, 4)) for w, _ in out]
+
+
+def test_fresh_step_memo_is_exact_and_never_mutated(monkeypatch):
+    random_words = [random_ia_word(random.Random(seed), 5, 6) for seed in range(40)]
+    k2_words = [w for w, _ in k2_levels(300)]
+    cold = []
+    for w in k2_words + random_words:
+        _fresh_step.cache_clear()
+        cold.append((johnson_level(w, 4), _substituted_series(w, 4)))
+    warm = [
+        (johnson_level(w, 4), _substituted_series(w, 4)) for w in k2_words + random_words
+    ]
+    assert warm == cold
+
+    # the cached series are immutable, and a full k = 2 enumeration and level
+    # run leaves every entry as it was; the entries it adds equal a fresh step
+    keys = set()
+
+    def recording(*key):
+        keys.add(key)
+        return _fresh_step(*key)
+
+    monkeypatch.setattr(magnus, "_fresh_step", recording)
+    _fresh_step.cache_clear()
+    k2_levels(300)
+    assert _fresh_step.cache_info().currsize == len(keys)
+    before = {key: _fresh_step(*key) for key in keys}
+    snapshot = copy.deepcopy(before)
+    for series in before.values():
+        assert isinstance(series, tuple)
+        assert all(isinstance(terms, tuple) for _, terms in series)
+    k2_levels(8100)
+    info = _fresh_step.cache_info()
+    assert info.currsize == len(keys) < info.maxsize  # nothing was evicted
+    for key in keys:
+        got = _fresh_step(*key)
+        assert got == _fresh_step.__wrapped__(*key)
+        if key in before:
+            assert got is before[key] and got == snapshot[key]
+    assert _fresh_step.cache_info().hits == info.hits + len(keys)
 
 
 def test_witt_goldens():
