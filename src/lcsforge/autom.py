@@ -242,7 +242,9 @@ def comm_move(a: int, b: int, c: int, sign: int = 1) -> IAGenerator:
 @dataclass(frozen=True)
 class IAWord:
     """A word in signed Magnus generators, the invertibility witness of its
-    realized endomorphism, which is built in one substitution pass."""
+    realized endomorphism, which is built in one substitution pass.  The
+    realization is cached but not pickled: unpickling constructs (and
+    validates) the word from its two fields."""
 
     rank: int
     gens: tuple[IAGenerator, ...] = ()
@@ -251,6 +253,9 @@ class IAWord:
         for g in self.gens:
             if any(i > self.rank for i in g.indices):
                 raise ValueError(f"generator {g.token()} exceeds rank {self.rank}")
+
+    def __reduce__(self):
+        return IAWord, (self.rank, self.gens)
 
     @cached_property
     def realized(self) -> FreeEndo:

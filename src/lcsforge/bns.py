@@ -263,14 +263,13 @@ class RAAGContext:
         return hit
 
     def char_values(self, char: Character, ws: Sequence[RAAGWord]) -> list[Fraction]:
-        """The character's value on each word, from one value map."""
+        """The character's value on each word, from one value map; each sum
+        starts from its first term (0 for the empty word)."""
         vals = char.as_dict()
         out = []
         for w in ws:
-            total = Fraction(0)
-            for v in w.letters:
-                total += vals[abs(v)] if v > 0 else -vals[abs(v)]
-            out.append(total)
+            terms = [vals[v] if v > 0 else -vals[-v] for v in w.letters]
+            out.append(sum(terms[1:], terms[0]) if terms else 0)
         return out
 
     def format_element(self, w: RAAGWord) -> list[int]:

@@ -1,13 +1,15 @@
 """Degree-one abelianization model for IA automorphisms.
 
 The first homology of the IA family is modelled on the basis
-``e_a* (x) (e_b ^ e_c)`` with ``b < c``; coordinates are rationals keyed by
-triples ``(a, b, c)``.  The map ``tau`` reads the degree-2 leading term of
-the Magnus series of ``phi(x_a) x_a^-1`` from its closed form, the
-Fox-calculus formula (Magnus-Karrass-Solitar, ch. 5), in one pass over the
-letters; no series is built.  Unimodular integer matrices act by
-inverse-transpose on the dual slot and by the wedge square of the standard
-action on the wedge slot.
+``e_a* (x) (e_b ^ e_c)`` with ``b < c``; coordinates are keyed by triples
+``(a, b, c)`` and held as ints where integral, as ``Fraction``s otherwise.
+The map ``tau`` reads the degree-2 leading term of the Magnus series of
+``phi(x_a) x_a^-1`` from its closed form, the Fox-calculus formula
+(Magnus-Karrass-Solitar, ch. 5), in one pass over the letters; no series is
+built.  Unimodular integer matrices act by inverse-transpose on the dual
+slot and by the wedge square of the standard action on the wedge slot, so
+tau and the action stay in the integers; only functionals (the tilt
+search's inputs) carry denominators.
 
 ``tilt_search`` replaces a density existence argument with an honest bounded
 breadth-first search over words in elementary matrices: it either exhibits a
@@ -23,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .autom import AutWitness, FreeEndo, IAWord, abelianized_matrix
+from .autom import AutWitness, FreeEndo, abelianized_matrix
 
 __all__ = [
     "H1Vector",
@@ -41,7 +43,7 @@ __all__ = [
     "elementary_matrix",
     "mat_inverse_unimodular",
     "glnz_action",
-    "equivariance_check",
+    "equivariance_failures",
     "subspace_image_basis",
     "TiltResult",
     "tilt_search",
@@ -51,7 +53,8 @@ __all__ = [
 ]
 
 Key = tuple[int, int, int]  # (a, b, c) with b < c
-Coords = tuple[tuple[Key, Fraction], ...]
+Value = int | Fraction  # an int whenever the value is integral
+Coords = tuple[tuple[Key, Value], ...]
 
 
 def h1_dimension(n: int) -> int:
@@ -67,33 +70,33 @@ def h1_basis_keys(n: int) -> list[Key]:
     ]
 
 
-def _normalize(n: int, coords: Mapping[Key, Fraction | int]) -> Coords:
+def _normalize(n: int, coords: Mapping[Key, Value]) -> Coords:
     out = {}
     for (a, b, c), v in coords.items():
         if not (1 <= a <= n and 1 <= b < c <= n):
             raise ValueError(f"bad basis key {(a, b, c)} for rank {n}")
-        f = Fraction(v)
+        f = v if isinstance(v, int) else Fraction(v)
         if f:
-            out[(a, b, c)] = f
+            out[(a, b, c)] = f.numerator if f.denominator == 1 else f
     return tuple(sorted(out.items()))
 
 
 @dataclass(frozen=True)
 class H1Vector:
-    """Finitely supported rational coordinates over the (a, b<c) basis."""
+    """Finitely supported coordinates over the (a, b<c) basis."""
 
     n: int
     coords: Coords = ()
 
-    def as_dict(self) -> dict[Key, Fraction]:
+    def as_dict(self) -> dict[Key, Value]:
         return dict(self.coords)
 
     def is_zero(self) -> bool:
         return not self.coords
 
-    def dense(self) -> list[Fraction]:
+    def dense(self) -> list[Value]:
         d = self.as_dict()
-        return [d.get(k, Fraction(0)) for k in h1_basis_keys(self.n)]
+        return [d.get(k, 0) for k in h1_basis_keys(self.n)]
 
 
 @dataclass(frozen=True)
@@ -104,18 +107,18 @@ class H1Functional:
     n: int
     coords: Coords = ()
 
-    def as_dict(self) -> dict[Key, Fraction]:
+    def as_dict(self) -> dict[Key, Value]:
         return dict(self.coords)
 
     def is_zero(self) -> bool:
         return not self.coords
 
 
-def h1_vector(n: int, coords: Mapping[Key, Fraction | int]) -> H1Vector:
+def h1_vector(n: int, coords: Mapping[Key, Value]) -> H1Vector:
     return H1Vector(n, _normalize(n, coords))
 
 
-def h1_functional(n: int, coords: Mapping[Key, Fraction | int]) -> H1Functional:
+def h1_functional(n: int, coords: Mapping[Key, Value]) -> H1Functional:
     return H1Functional(n, _normalize(n, coords))
 
 
@@ -124,7 +127,7 @@ def h1_add(u: H1Vector, v: H1Vector) -> H1Vector:
         raise ValueError("rank mismatch")
     out = u.as_dict()
     for k, val in v.coords:
-        out[k] = out.get(k, Fraction(0)) + val
+        out[k] = out.get(k, 0) + val
     return h1_vector(u.n, out)
 
 
@@ -216,14 +219,15 @@ def mat_inverse_unimodular(m: IntMatrix) -> IntMatrix:
     return tuple(tuple(int(v) for v in row) for row in inverse)
 
 
-def glnz_action(m: IntMatrix, v: H1Vector, m_inv: IntMatrix | None = None) -> H1Vector:
+def glnz_action(m: IntMatrix, v: H1Vector, minv: IntMatrix) -> H1Vector:
     """Representation on the dual-tensor-wedge model: inverse transpose on the
-    starred slot, wedge square of the standard column action on the other."""
+    starred slot, wedge square of the standard column action on the other.
+    ``minv`` is m's exact inverse, from a lift's inverse witness or from
+    ``mat_inverse_unimodular``."""
     n = v.n
     if len(m) != n:
         raise ValueError("matrix size does not match vector rank")
-    minv = m_inv if m_inv is not None else mat_inverse_unimodular(m)
-    out: dict[Key, Fraction] = {}
+    out: dict[Key, Value] = {}
     for (a, b, c), val in v.coords:
         for ap in range(1, n + 1):
             dual = minv[a - 1][ap - 1]
@@ -238,23 +242,20 @@ def glnz_action(m: IntMatrix, v: H1Vector, m_inv: IntMatrix | None = None) -> H1
                     if not wedge:
                         continue
                     k = (ap, i, j)
-                    nv = out.get(k, Fraction(0)) + val * dual * wedge
-                    if nv:
-                        out[k] = nv
-                    elif k in out:
-                        del out[k]
+                    out[k] = out.get(k, 0) + val * dual * wedge
     return h1_vector(n, out)
 
 
-def equivariance_check(m: IntMatrix, lift: AutWitness, phi: FreeEndo | IAWord) -> bool:
-    """tau(lift . phi . lift^-1) == action of m on tau(phi); raises when the
-    lift does not abelianize to m."""
-    endo = phi.realized if isinstance(phi, IAWord) else phi
-    if abelianized_matrix(lift.fwd) != m:
-        raise ValueError("lift does not abelianize to the given matrix")
-    lhs = tau(lift.conj_endo(endo))
-    rhs = glnz_action(m, tau(endo))
-    return lhs == rhs
+def equivariance_failures(
+    lift: AutWitness, pairs: Iterable[tuple[FreeEndo, H1Vector]]
+) -> int:
+    """The number of ``(phi, tau(phi))`` pairs with tau(lift . phi . lift^-1)
+    != m . tau(phi), where m abelianizes ``lift.fwd``.  m's inverse is the
+    abelianization of ``lift.inv``: the witness checks both compositions on
+    construction, and abelianization is multiplicative."""
+    m = abelianized_matrix(lift.fwd)
+    minv = abelianized_matrix(lift.inv)
+    return sum(tau(lift.conj_endo(phi)) != glnz_action(m, t, minv) for phi, t in pairs)
 
 
 def subspace_image_basis(index_set: Iterable[int], n: int) -> list[H1Vector]:

@@ -157,6 +157,34 @@ def test_kmm_failure_modes():
     assert out.reason == "undominated-element"
 
 
+def char_values_by_fraction_sums(char, ws):
+    """The sums char_values replaced, kept as the reference: each started
+    from Fraction(0)."""
+    vals = char.as_dict()
+    return [
+        sum((vals[abs(v)] if v > 0 else -vals[abs(v)] for v in w.letters), Fraction(0))
+        for w in ws
+    ]
+
+
+def test_char_values_match_fraction_sums():
+    rng = random.Random(84)
+    ctx = RAAGContext(FOUR_CYCLE)
+    for _ in range(200):
+        char = character(
+            {v: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for v in range(1, 5)}
+        )
+        ws = [
+            raag_word(
+                [rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(rng.randint(1, 6))]
+            )
+            for _ in range(5)
+        ] + [raag_word([])]
+        got = ctx.char_values(char, ws)
+        assert got == char_values_by_fraction_sums(char, ws)
+        assert all(isinstance(x, Fraction) for x in got[:-1])
+
+
 def test_kmm_single_vertex():
     z = raag(1, [])
     out = kmm_check(
