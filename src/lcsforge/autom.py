@@ -373,13 +373,42 @@ class AutWitness:
         ):
             raise ValueError("inverse witness does not invert the automorphism")
 
+    @cached_property
+    def _relabelling(self) -> dict[int, int] | None:
+        """The letter map v -> fwd(v) when fwd sends every generator to one
+        signed letter (a signed permutation, as fwd is invertible), else
+        None."""
+        letters = {}
+        for i in range(1, self.fwd.rank + 1):
+            img = self.fwd.image(i).letters
+            if len(img) != 1:
+                return None
+            letters[i], letters[-i] = img[0], -img[0]
+        return letters
+
     def conj_endo(self, phi: FreeEndo) -> FreeEndo:
-        """fwd . phi . fwd^-1 without an intermediate endomorphism: x_i goes
-        to (fwd . phi)(inv(x_i)), substituted through one image map of
-        fwd . phi, and only the result is validated."""
+        """fwd . phi . fwd^-1 without an intermediate endomorphism.
+
+        For a signed permutation with fwd(x_i) = t, the conjugate sends x_|t|
+        to fwd(phi(x_i))^sign(t): phi(x_i) relabelled letter by letter, and
+        inverted when t is an inverse letter.  Relabelling and inverting keep
+        a word reduced, so nothing is substituted or reduced again.
+        Otherwise x_i goes to (fwd . phi)(inv(x_i)), substituted through one
+        image map of fwd . phi.  Either way only the result is validated."""
         rank = self.fwd.rank
         if phi.rank != rank:
             raise RankMismatch(f"ranks differ: {phi.rank} vs {rank}")
+        relabel = self._relabelling
+        if relabel is not None:
+            # x_|t| stays fixed when phi fixes x_i
+            images = {}
+            for i, img in phi.images:
+                t = relabel[i]
+                if t > 0:
+                    images[t] = Word(tuple([relabel[v] for v in img.letters]))
+                else:
+                    images[-t] = Word(tuple([relabel[-v] for v in reversed(img.letters)]))
+            return free_endo(rank, images)
         # fwd . phi on the generators: phi fixes every other x_j
         outer = dict(self.fwd.images)
         outer.update(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -85,8 +86,10 @@ def _timed(report: SuiteReport, name: str, fn) -> CheckRecord:
 # depth
 
 
-# Above this many monomials depth refuses to start without --force.
+# Above this many monomials, or letters times monomials, depth refuses to
+# start without --force.
 DEPTH_MAX_MONOMIALS = 10**6
+DEPTH_MAX_LETTER_MONOMIALS = 10**7
 
 
 def suite_depth(params: dict) -> SuiteReport:
@@ -98,14 +101,22 @@ def suite_depth(params: dict) -> SuiteReport:
     if cutoff < 2:
         raise ValueError(f"depth needs cutoff >= 2, got {cutoff}")
     # the sum over i <= cutoff of n^i monomials in the support's n letters;
-    # for n >= 2 it passes the bound long before degree 64
+    # for n >= 2 it passes the bound long before degree 64.  The embedding
+    # multiplies once per letter, so its work grows with letters x monomials.
     n = len(words.support(w))
     cost = cutoff + 1 if n == 1 else (n ** (min(cutoff, 64) + 1) - 1) // (n - 1)
-    if cost > DEPTH_MAX_MONOMIALS and not force:
-        raise ValueError(
-            f"depth would expand at least {cost} monomials, more than "
-            f"{DEPTH_MAX_MONOMIALS}; pass --force to run it anyway"
-        )
+    if not force:
+        if cost > DEPTH_MAX_MONOMIALS:
+            raise ValueError(
+                f"depth would expand at least {cost} monomials, more than "
+                f"{DEPTH_MAX_MONOMIALS}; pass --force to run it anyway"
+            )
+        if len(w) * cost > DEPTH_MAX_LETTER_MONOMIALS:
+            raise ValueError(
+                f"depth would multiply {len(w)} letters into up to {cost} "
+                f"monomials, more than {DEPTH_MAX_LETTER_MONOMIALS} letters x "
+                "monomials; pass --force to run it anyway"
+            )
 
     def run():
         d = magnus.lcs_depth(w, cutoff)
@@ -395,8 +406,15 @@ def _revalidate_tilt(
     return True
 
 
+# Above this many lift/generator pairs, or tilt matrices per functional,
+# johnson refuses to start without --force.
+JOHNSON_MAX_COST = 10**6
+
+
 def suite_johnson(params: dict) -> SuiteReport:
-    report = SuiteReport("johnson", dict(params))
+    params = dict(params)
+    force = params.pop("force", False)
+    report = SuiteReport("johnson", params)
     n = params["n"]
     budget = params["budget"]
     seed = params["seed"]
@@ -404,8 +422,29 @@ def suite_johnson(params: dict) -> SuiteReport:
         raise ValueError(f"johnson needs n >= 2, got {n}")
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
+    # 2^n n! signed permutations and 2n(n-1) transvections, each against the
+    # n(n-1) + n(n-1)(n-2)/2 = n^2(n-1)/2 Magnus generators; the tilt search
+    # examines up to (2n(n-1))^d matrices at depth d.  Both pass the bound
+    # long before n or budget 64.
+    moves = 2 * n * (n - 1)
+    k = min(n, 64)
+    pairs_cost = (2**k * math.factorial(k) + moves) * (n * n * (n - 1) // 2)
+    tilt_cost = (moves ** (min(budget, 64) + 1) - 1) // (moves - 1)
+    if not force:
+        if pairs_cost > JOHNSON_MAX_COST:
+            raise ValueError(
+                f"johnson would check {pairs_cost} lift/generator pairs, "
+                f"more than {JOHNSON_MAX_COST}; pass --force to run it anyway"
+            )
+        if tilt_cost > JOHNSON_MAX_COST:
+            raise ValueError(
+                f"johnson could examine up to {tilt_cost} matrices per functional, "
+                f"more than {JOHNSON_MAX_COST}; pass --force to run it anyway"
+            )
     family = finc.FIncIA(n)
     gens = finc.magnus_generators(family)
+    # each generator's realization and tau, shared by every check that reads them
+    pairs = [(g.realized, johnson.tau(g.realized)) for g in gens]
 
     def run_goldens():
         k12 = autom.ia_word(n, [autom.conj(1, 2)]).realized
@@ -431,7 +470,7 @@ def suite_johnson(params: dict) -> SuiteReport:
         return bad == 0, {"summary": f"{trials} random pairs", "failures": bad}
 
     def run_rank():
-        rows = [johnson.tau(g.realized).dense() for g in gens]
+        rows = [t.dense() for _, t in pairs]
         got = johnson.rational_rank(rows)
         want = johnson.h1_dimension(n)
         return got == want, {
@@ -441,7 +480,6 @@ def suite_johnson(params: dict) -> SuiteReport:
         }
 
     def run_equivariance(lifts):
-        pairs = [(g.realized, johnson.tau(g.realized)) for g in gens]
         bad = 0
         total = 0
         for lift in lifts:
@@ -604,6 +642,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("johnson", help="degree-one homology model checks")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--budget", type=int, default=4, help="tilt search depth")
+    p.add_argument("--force", action="store_true", help="run even above the cost bound")
 
     p = add("normal-gens", help="filtration level of commutator family")
     p.add_argument("--k", type=int, required=True)

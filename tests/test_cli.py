@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from lcsforge import bns, magnus
+from lcsforge import bns, finc, magnus
 from lcsforge.cli import _build_parser, main, run_suite
 
 
@@ -224,9 +224,13 @@ def test_depth_cost_guard(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(magnus, "lcs_depth", depth)
     ten = ".".join(f"x{i}" for i in range(1, 11))
+    sixty = ".".join(["x1", "x2", "X3"] * 20)
+    thirty_seven = ".".join((["x1", "x2", "X3"] * 13)[:37])
     # sum of n^i over i <= cutoff for support size n: 3 letters to degree 12
     # is 797161 monomials and to 13 is 2391484; 10 letters to degree 5 is
-    # 111111 and to 6 is 1111111; one letter to degree c is c + 1
+    # 111111 and to 6 is 1111111; one letter to degree c is c + 1.  Letters
+    # times monomials: 60 letters on 3 generators to degree 11 is 60 * 265720
+    # = 15943200, above 10**7, and 37 letters is 9831640
     cases = [
         ("x1.x2.X3", 12, True),
         ("x1.x2.X3", 13, False),
@@ -235,6 +239,8 @@ def test_depth_cost_guard(capsys, monkeypatch, tmp_path):
         ("X1", 10**6 - 1, True),
         ("X1", 10**6, False),
         ("e", 10**9, True),
+        (thirty_seven, 11, True),
+        (sixty, 11, False),
     ]
     for text, cutoff, admitted in cases:
         argv = ["depth", "--word", text, "--cutoff", str(cutoff)]
@@ -248,3 +254,42 @@ def test_depth_cost_guard(capsys, monkeypatch, tmp_path):
                 main(argv + ["--force"])
     assert main(["depth", "--word", "x1", "--cutoff", "1"]) == 2
     assert "cutoff >= 2" in capsys.readouterr().err
+
+
+def test_johnson_cost_guard(capsys, monkeypatch):
+    forced = run_suite("johnson", {"n": 2, "budget": 1, "seed": 0, "force": True})
+    assert forced.parameters == {"n": 2, "budget": 1, "seed": 0}
+
+    class Started(Exception):
+        pass
+
+    def generators(family):
+        raise Started
+
+    monkeypatch.setattr(finc, "magnus_generators", generators)
+    # lift/generator pairs (2^n n! + 2n(n-1)) * n^2(n-1)/2: 9792 at n = 4,
+    # 194000 at n = 5, 4152600 at n = 6; tilt matrices sum of (2n(n-1))^d
+    # over d <= budget: 346201 at n = 4, budget 4 and 8308825 at budget 5;
+    # 271453 and 3257437 at n = 3, budgets 5 and 6
+    cases = [
+        (4, 4, True),
+        (5, 3, True),
+        (3, 5, True),
+        (3, 6, False),
+        (2, 8, True),
+        (6, 0, False),
+        (4, 5, False),
+        (5, 4, False),
+        (10**6, 0, False),
+        (2, 10**9, False),
+    ]
+    for n, budget, admitted in cases:
+        argv = ["johnson", "--n", str(n), "--budget", str(budget)]
+        if admitted:
+            with pytest.raises(Started):
+                main(argv)
+        else:
+            assert main(argv) == 2
+            assert "--force" in capsys.readouterr().err
+            with pytest.raises(Started):
+                main(argv + ["--force"])

@@ -4,7 +4,9 @@ from itertools import combinations, permutations, product
 
 import pytest
 
+from lcsforge import autom
 from lcsforge.autom import (
+    AutWitness,
     RankMismatch,
     abelianized_matrix,
     comm_move,
@@ -175,6 +177,53 @@ def test_conj_endo_matches_composition_route():
             lift.conj_endo(identity_endo(n + 1))
         with pytest.raises(RankMismatch):
             lift.conj_endo(identity_endo(n - 1))
+
+
+def test_relabelling_conj_matches_substitution_route(monkeypatch):
+    """Conjugation by signed-permutation lifts (all of them at n = 4, seeded
+    ones at n = 2-6) against the substitution route, forced by hiding the
+    relabelling, and against two compositions, on every Magnus generator and
+    the random inputs, non-IA ones included."""
+    rng = random.Random(82)
+    cases = [(4, signed_permutation_lifts(4))]
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        signs = [rng.choice((1, -1)) for _ in range(n)]
+        cases.append((n, [signed_permutation_lift(n, rng.sample(range(1, n + 1), n), signs)]))
+    for n, lifts in cases:
+        gens = [g.realized for g in magnus_generators(FIncIA(n))]
+        for lift in lifts:
+            inputs = gens + random_endo_inputs(rng, n)[0]
+            fast = [lift.conj_endo(phi) for phi in inputs]
+            with monkeypatch.context() as m:
+                m.setattr(AutWitness, "_relabelling", property(lambda self: None))
+                assert [lift.conj_endo(phi) for phi in inputs] == fast
+            assert [compose(lift.fwd, compose(phi, lift.inv)) for phi in inputs] == fast
+
+
+def test_conj_endo_route_by_lift(monkeypatch):
+    """Every signed-permutation lift at n = 4 relabels and substitutes
+    nothing; every transvection lift and non-trivial inner lift substitutes."""
+    rng = random.Random(83)
+    n = 4
+    inputs = [g.realized for g in magnus_generators(FIncIA(n))]
+    inputs.append(free_endo(n, {1: random_word(rng, n, 6), 3: random_word(rng, n, 4)}))
+    others = transvection_lifts(n)
+    others += [inner_lift(n, w) for w in (random_word(rng, n, 5) for _ in range(30)) if w]
+    perms = signed_permutation_lifts(n)
+    calls = []
+    substitute = autom._substitute
+    monkeypatch.setattr(
+        autom, "_substitute", lambda *args: calls.append(args) or substitute(*args)
+    )
+    for lift in perms:
+        for phi in inputs:
+            lift.conj_endo(phi)
+    assert not calls
+    for lift in others:
+        lift.conj_endo(inputs[0])
+        assert calls
+        calls.clear()
 
 
 def test_h1_dimension_and_keys():
