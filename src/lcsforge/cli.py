@@ -74,6 +74,29 @@ class SuiteReport:
         return "\n".join(lines)
 
 
+def _admitted(suite: str, params: dict, costs) -> SuiteReport:
+    """The suite's empty report, with its parameters less ``force``.  Unless
+    ``force`` is set, refuse the first (what, estimate, bound) cost row whose
+    estimate is above its bound."""
+    params = dict(params)
+    if not params.pop("force", False):
+        for what, estimate, bound in costs:
+            if estimate > bound:
+                raise ValueError(
+                    f"{suite} estimates {estimate} {what}, more than {bound}; "
+                    "pass --force to run it anyway"
+                )
+    return SuiteReport(suite, params)
+
+
+def _powers_sum(base: int, top: int) -> int:
+    """Sum of base^i over 0 <= i <= top: 1 at base 0 and top + 1 at base 1.
+    From base 2 the top is capped at 64, where the sum passes every bound."""
+    if base == 1:
+        return top + 1
+    return (base ** (min(top, 64) + 1) - 1) // (base - 1)
+
+
 def _timed(report: SuiteReport, name: str, fn) -> CheckRecord:
     start = time.perf_counter()
     passed, detail = fn()
@@ -93,30 +116,17 @@ DEPTH_MAX_LETTER_MONOMIALS = 10**7
 
 
 def suite_depth(params: dict) -> SuiteReport:
-    params = dict(params)
-    force = params.pop("force", False)
-    report = SuiteReport("depth", params)
     w = words.parse_word(params["word"])
     cutoff = params["cutoff"]
     if cutoff < 2:
         raise ValueError(f"depth needs cutoff >= 2, got {cutoff}")
-    # the sum over i <= cutoff of n^i monomials in the support's n letters;
-    # for n >= 2 it passes the bound long before degree 64.  The embedding
-    # multiplies once per letter, so its work grows with letters x monomials.
-    n = len(words.support(w))
-    cost = cutoff + 1 if n == 1 else (n ** (min(cutoff, 64) + 1) - 1) // (n - 1)
-    if not force:
-        if cost > DEPTH_MAX_MONOMIALS:
-            raise ValueError(
-                f"depth would expand at least {cost} monomials, more than "
-                f"{DEPTH_MAX_MONOMIALS}; pass --force to run it anyway"
-            )
-        if len(w) * cost > DEPTH_MAX_LETTER_MONOMIALS:
-            raise ValueError(
-                f"depth would multiply {len(w)} letters into up to {cost} "
-                f"monomials, more than {DEPTH_MAX_LETTER_MONOMIALS} letters x "
-                "monomials; pass --force to run it anyway"
-            )
+    # monomials in the support's letters up to the cutoff; the embedding
+    # multiplies once per letter, so its work grows with letters x monomials
+    cost = _powers_sum(len(words.support(w)), cutoff)
+    report = _admitted("depth", params, [
+        ("monomials", cost, DEPTH_MAX_MONOMIALS),
+        ("letters x monomials", len(w) * cost, DEPTH_MAX_LETTER_MONOMIALS),
+    ])
 
     def run():
         d = magnus.lcs_depth(w, cutoff)
@@ -251,9 +261,6 @@ KMM_MAX_CHARACTERS = 10**7
 
 
 def suite_kmm_raag(params: dict) -> SuiteReport:
-    params = dict(params)
-    force = params.pop("force", False)
-    report = SuiteReport("kmm-raag", params)
     graph_file = params.get("graph")
     graph = None
     if graph_file:
@@ -270,12 +277,10 @@ def suite_kmm_raag(params: dict) -> SuiteReport:
     elif params["max_n"] < 1:
         raise ValueError(f"kmm-raag needs max_n >= 1, got {params['max_n']}")
     else:
-        cost = sum(2 ** (v * (v - 1) // 2) * 4**v for v in range(1, params["max_n"] + 1))
-    if cost > KMM_MAX_CHARACTERS and not force:
-        raise ValueError(
-            f"kmm-raag would sweep about {cost} characters, more than "
-            f"{KMM_MAX_CHARACTERS}; pass --force to run it anyway"
-        )
+        # the sum passes the bound long before 64 vertices
+        top = min(params["max_n"], 64)
+        cost = sum(2 ** (v * (v - 1) // 2) * 4**v for v in range(1, top + 1))
+    report = _admitted("kmm-raag", params, [("characters", cost, KMM_MAX_CHARACTERS)])
     if graph is not None:
 
         def run():
@@ -412,9 +417,6 @@ JOHNSON_MAX_COST = 10**6
 
 
 def suite_johnson(params: dict) -> SuiteReport:
-    params = dict(params)
-    force = params.pop("force", False)
-    report = SuiteReport("johnson", params)
     n = params["n"]
     budget = params["budget"]
     seed = params["seed"]
@@ -424,23 +426,15 @@ def suite_johnson(params: dict) -> SuiteReport:
         raise ValueError(f"budget must be >= 0, got {budget}")
     # 2^n n! signed permutations and 2n(n-1) transvections, each against the
     # n(n-1) + n(n-1)(n-2)/2 = n^2(n-1)/2 Magnus generators; the tilt search
-    # examines up to (2n(n-1))^d matrices at depth d.  Both pass the bound
-    # long before n or budget 64.
+    # examines up to (2n(n-1))^d matrices at depth d.  The pairs pass the
+    # bound long before n = 64.
     moves = 2 * n * (n - 1)
     k = min(n, 64)
-    pairs_cost = (2**k * math.factorial(k) + moves) * (n * n * (n - 1) // 2)
-    tilt_cost = (moves ** (min(budget, 64) + 1) - 1) // (moves - 1)
-    if not force:
-        if pairs_cost > JOHNSON_MAX_COST:
-            raise ValueError(
-                f"johnson would check {pairs_cost} lift/generator pairs, "
-                f"more than {JOHNSON_MAX_COST}; pass --force to run it anyway"
-            )
-        if tilt_cost > JOHNSON_MAX_COST:
-            raise ValueError(
-                f"johnson could examine up to {tilt_cost} matrices per functional, "
-                f"more than {JOHNSON_MAX_COST}; pass --force to run it anyway"
-            )
+    report = _admitted("johnson", params, [
+        ("lift/generator pairs",
+         (2**k * math.factorial(k) + moves) * (n * n * (n - 1) // 2), JOHNSON_MAX_COST),
+        ("tilt matrices per functional", _powers_sum(moves, budget), JOHNSON_MAX_COST),
+    ])
     family = finc.FIncIA(n)
     gens = finc.magnus_generators(family)
     # each generator's realization and tau, shared by every check that reads them
@@ -547,14 +541,17 @@ def _levels_chunk(args):
 def suite_normal_gens(params: dict) -> SuiteReport:
     report = SuiteReport("normal-gens", dict(params))
     k = params["k"]
-    n = params["n"] if params.get("n") else 3 * k
+    n = params["n"] if params.get("n") else finc.GENERATION_DEGREE * k
     cutoff = params["cutoff"] if params.get("cutoff") else k + 2
+    # a level not found below the cutoff certifies only level >= cutoff
+    if cutoff < max(k, 2):
+        raise ValueError(f"normal-gens needs cutoff >= max(k, 2) = {max(k, 2)}, got {cutoff}")
     budget = params.get("budget")
     jobs = params.get("jobs") or 1
     family = finc.FIncIA(n)
 
     def run():
-        generators = finc.enumerate_normal_generators(family, k, 3, budget)
+        generators = finc.enumerate_normal_generators(family, k, budget)
         if jobs > 1 and len(generators) > 8:
             chunks = [
                 (generators[i::jobs], cutoff, k) for i in range(jobs)
@@ -619,13 +616,15 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", metavar="PATH", help="write the JSON report here")
     sub = parser.add_subparsers(dest="suite", required=True, parser_class=argparse.ArgumentParser)
 
-    def add(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+    guarded = argparse.ArgumentParser(add_help=False)
+    guarded.add_argument("--force", action="store_true", help="run even above the cost bound")
 
-    p = add("depth", help="lower-central-series depth of a word")
+    def add(name, *parents, **kwargs):
+        return sub.add_parser(name, parents=[common, *parents], **kwargs)
+
+    p = add("depth", guarded, help="lower-central-series depth of a word")
     p.add_argument("--word", required=True, help="dot-joined letters, e.g. x1.x2.X1.X2")
     p.add_argument("--cutoff", type=int, default=4)
-    p.add_argument("--force", action="store_true", help="expand even above the cost bound")
 
     p = add("kneser", help="subset-disjointness connectivity table")
     p.add_argument("--max-n", type=int, default=12)
@@ -634,20 +633,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("ia-axioms", help="family axioms at one ambient rank")
     p.add_argument("--n", type=int, default=6)
 
-    p = add("kmm-raag", help="criterion-vs-oracle soundness sweep")
+    p = add("kmm-raag", guarded, help="criterion-vs-oracle soundness sweep")
     p.add_argument("--graph", metavar="FILE", help="sweep a single graph file")
     p.add_argument("--max-n", type=int, default=5, help="max vertex count")
-    p.add_argument("--force", action="store_true", help="sweep even above the cost bound")
 
-    p = add("johnson", help="degree-one homology model checks")
+    p = add("johnson", guarded, help="degree-one homology model checks")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--budget", type=int, default=4, help="tilt search depth")
-    p.add_argument("--force", action="store_true", help="run even above the cost bound")
 
     p = add("normal-gens", help="filtration level of commutator family")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, default=0, help="ambient rank (default 3k)")
-    p.add_argument("--cutoff", type=int, default=0, help="series cutoff (default k+2)")
+    p.add_argument("--cutoff", type=int, default=0, help="series cutoff, at least k and 2 (default k+2)")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--jobs", type=_jobs, default=1, help="worker processes (1 to CPU count)")
 

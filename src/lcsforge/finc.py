@@ -7,7 +7,7 @@ certified through generator supports.
 
 ``enumerate_normal_generators`` materializes the left-normed length-k
 commutators of Magnus generators that normally generate the k-th lower
-central series term, each tagged with a deterministic size-(d*k) support
+central series term, each tagged with a deterministic size-3k support
 completion.  The raw tuple space grows like |S|^k, so enumeration takes a
 budget: when the space is larger, tuples are taken on a deterministic
 evenly spaced stride through lexicographic order.
@@ -32,7 +32,6 @@ from .autom import (
 
 __all__ = [
     "FIncIA",
-    "SubgroupSpec",
     "CommutingWitness",
     "subgroup_generators",
     "magnus_generators",
@@ -44,9 +43,13 @@ __all__ = [
     "left_normed_commutator",
     "enumerate_normal_generators",
     "DEFAULT_TUPLE_BUDGET",
+    "GENERATION_DEGREE",
 ]
 
 DEFAULT_TUPLE_BUDGET = 4000
+# Every Magnus generator is supported on at most 3 indices, so a length-k
+# commutator's support is completed to 3k indices.
+GENERATION_DEGREE = 3
 
 
 @dataclass(frozen=True)
@@ -60,18 +63,6 @@ class FIncIA:
             raise ValueError("ambient rank must be >= 1")
 
 
-@dataclass(frozen=True)
-class SubgroupSpec:
-    index_set: tuple[int, ...]
-    generators: tuple[IAWord, ...]
-
-    def __post_init__(self) -> None:
-        allowed = set(self.index_set)
-        for g in self.generators:
-            if not g.ia_support() <= allowed:
-                raise ValueError("generator support escapes the index set")
-
-
 def _magnus_tokens(indices: tuple[int, ...]) -> list[IAGenerator]:
     out = [conj(a, b) for a in indices for b in indices if a != b]
     out += [
@@ -82,19 +73,18 @@ def _magnus_tokens(indices: tuple[int, ...]) -> list[IAGenerator]:
     return out
 
 
-def subgroup_generators(family: FIncIA, index_set) -> SubgroupSpec:
+def subgroup_generators(family: FIncIA, index_set) -> tuple[IAWord, ...]:
     """All positive Magnus generators supported inside the index set:
     |I|(|I|-1) conjugation moves plus |I|(|I|-1)(|I|-2)/2 commutator moves."""
     idx = tuple(sorted(set(index_set)))
     if any(not 1 <= i <= family.n for i in idx):
         raise ValueError(f"index set {idx} outside ambient rank {family.n}")
-    gens = tuple(ia_word(family.n, [g]) for g in _magnus_tokens(idx))
-    return SubgroupSpec(idx, gens)
+    return tuple(ia_word(family.n, [g]) for g in _magnus_tokens(idx))
 
 
 def magnus_generators(family: FIncIA) -> tuple[IAWord, ...]:
     """The full Magnus generating set at the ambient rank."""
-    return subgroup_generators(family, range(1, family.n + 1)).generators
+    return subgroup_generators(family, range(1, family.n + 1))
 
 
 def include_ia(w: IAWord, target_rank: int) -> IAWord:
@@ -109,9 +99,10 @@ def check_functoriality(family: FIncIA, inner, middle, outer) -> bool:
     """Both inclusion routes I -> J -> K and I -> K give the same generator
     word, hence the same automorphism, on every generator of the inner
     subgroup.  Under global indexing both routes yield ``IAWord(r_K,
-    gen.gens)`` by construction, so the comparison cannot fail: the check
-    can only fail through the rank validation of the word the route through
-    J builds at r_J, the smallest rank containing J."""
+    gen.gens)`` by construction, so the comparison cannot fail.  Nor can
+    the rank validation of the word the route through J builds at r_J, the
+    smallest rank containing J: on a valid chain r_J >= max(I).  So the check
+    cannot fail at all; only an invalid chain raises."""
     si, sj, sk = set(inner), set(middle), set(outer)
     if not (si <= sj <= sk):
         raise ValueError("need a chain I <= J <= K")
@@ -162,8 +153,8 @@ def check_commuting(family: FIncIA, left, right) -> CommutingWitness:
     ri = tuple(sorted(set(right)))
     if set(li) & set(ri):
         raise ValueError(f"index sets intersect: {set(li) & set(ri)}")
-    lg = subgroup_generators(family, li).generators
-    rg = subgroup_generators(family, ri).generators
+    lg = subgroup_generators(family, li)
+    rg = subgroup_generators(family, ri)
     table = tuple(
         (format_token(u), format_token(v), commute(u, v)) for u in lg for v in rg
     )
@@ -222,18 +213,18 @@ def _support_completion(support: frozenset[int], size: int, n: int) -> tuple[int
 def enumerate_normal_generators(
     family: FIncIA,
     k: int,
-    d: int = 3,
     budget: int | None = None,
 ) -> list[tuple[IAWord, tuple[int, ...]]]:
     """Deduplicated left-normed length-k commutators of Magnus generators,
-    each with its support completed to a size-(d*k) index set by adding the
+    each with its support completed to a size-3k index set by adding the
     smallest unused indices.  Identity realizations are dropped; within a
     budget smaller than the |S|^k tuple space, tuples are stride-sampled in
     lexicographic order."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if family.n < d * k:
-        raise ValueError(f"need ambient rank >= d*k = {d * k}, got {family.n}")
+    size = GENERATION_DEGREE * k
+    if family.n < size:
+        raise ValueError(f"need ambient rank >= 3k = {size}, got {family.n}")
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     gens = magnus_generators(family)
@@ -254,5 +245,5 @@ def enumerate_normal_generators(
         endo = w.realized
         if is_identity(endo) or endo in found:
             continue
-        found[endo] = (w, _support_completion(w.ia_support(), d * k, family.n))
+        found[endo] = (w, _support_completion(w.ia_support(), size, family.n))
     return list(found.values())

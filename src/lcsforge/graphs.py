@@ -274,8 +274,8 @@ def two_step_witness(
         raise ValueError("no qualifying middle subset exists")
 
     family = FIncIA(n)
-    mid_gens = subgroup_generators(family, middle).generators
-    base_gens = subgroup_generators(family, base_set).generators
+    mid_gens = subgroup_generators(family, middle)
+    base_gens = subgroup_generators(family, base_set)
     conj_gens = [conjugate(g, mover) for g in base_gens]
     base_pairs = tuple(
         (format_token(u), format_token(v), commute(u, v))

@@ -81,7 +81,7 @@ def test_c1_disjointness_graph_law_corrected():
 
 # -- criterion 2: family axioms at n <= 6 ------------------------------------
 # The functoriality check compares two IA words that are equal by
-# construction; it can fail only through rank validation at r_J.
+# construction, and on a valid chain r_J >= max(I), so it cannot fail.
 
 
 def test_c2_ia_axioms():

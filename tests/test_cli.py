@@ -103,6 +103,9 @@ def test_kmm_raag_small_vertex_sweep():
 
 
 def test_kmm_raag_cost_guard(tmp_path, capsys, monkeypatch):
+    forced = run_suite("kmm-raag", {"graph": None, "max_n": 1, "force": True})
+    assert forced.parameters == {"graph": None, "max_n": 1}
+
     class Started(Exception):
         pass
 
@@ -111,8 +114,13 @@ def test_kmm_raag_cost_guard(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(bns, "soundness_sweep", sweep)
     # 4**11 and sum(2**(v(v-1)/2) * 4**v, v <= 5) characters are admitted,
-    # 4**12 and the same sum to v = 6 are not
-    cases = [(["kmm-raag", "--max-n", "5"], True), (["kmm-raag", "--max-n", "6"], False)]
+    # 4**12 and the same sum to v = 6 are not; the sum is capped at v = 64,
+    # so a huge --max-n is refused without summing to it
+    cases = [
+        (["kmm-raag", "--max-n", "5"], True),
+        (["kmm-raag", "--max-n", "6"], False),
+        (["kmm-raag", "--max-n", str(10**9)], False),
+    ]
     for n in (11, 12):
         path = tmp_path / f"path{n}.graph"
         path.write_text(f"{n}\n" + "".join(f"{v} {v + 1}\n" for v in range(1, n)))
@@ -126,6 +134,26 @@ def test_kmm_raag_cost_guard(tmp_path, capsys, monkeypatch):
             assert "--force" in capsys.readouterr().err
             with pytest.raises(Started):
                 main(argv + ["--force"])
+
+
+def test_normal_gens_cutoff_below_k_refused(capsys, monkeypatch):
+    class Started(Exception):
+        pass
+
+    def enumerate_gens(*args, **kwargs):
+        raise Started
+
+    monkeypatch.setattr(finc, "enumerate_normal_generators", enumerate_gens)
+    # a level not found below the cutoff certifies only level >= cutoff, so
+    # the cutoff must reach k; johnson_level needs a cutoff of at least 2
+    for k, cutoff in ((3, 2), (2, 1), (1, 1), (1, -1), (3, -1)):
+        argv = ["normal-gens", "--k", str(k), "--cutoff", str(cutoff)]
+        assert main(argv) == 2, argv
+        assert "error: normal-gens needs cutoff >=" in capsys.readouterr().err
+    # 0 means the default, k + 2
+    for k, cutoff in ((3, 3), (1, 2), (2, 0), (1, 0)):
+        with pytest.raises(Started):
+            main(["normal-gens", "--k", str(k), "--cutoff", str(cutoff)])
 
 
 def test_unknown_suite_rejected():

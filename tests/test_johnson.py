@@ -401,7 +401,7 @@ def test_tau_images_span_subspaces():
             basis = subspace_image_basis(idx, 4)
             images = [
                 tau(g.realized).dense()
-                for g in subgroup_generators(fam, idx).generators
+                for g in subgroup_generators(fam, idx)
             ]
             expected = size * size * (size - 1) // 2
             assert rational_rank(images) == expected
