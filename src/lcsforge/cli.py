@@ -77,13 +77,16 @@ class SuiteReport:
 def _admitted(suite: str, params: dict, costs) -> SuiteReport:
     """The suite's empty report, with its parameters less ``force``.  Unless
     ``force`` is set, refuse the first (what, estimate, bound) cost row whose
-    estimate is above its bound."""
+    estimate is above its bound; an estimate above 10 x bound is shown as
+    ``over <10 x bound>``."""
     params = dict(params)
     if not params.pop("force", False):
         for what, estimate, bound in costs:
             if estimate > bound:
+                # far above the bound the digits say nothing more
+                shown = estimate if estimate <= 10 * bound else f"over {10 * bound}"
                 raise ValueError(
-                    f"{suite} estimates {estimate} {what}, more than {bound}; "
+                    f"{suite} estimates {shown} {what}, more than {bound}; "
                     "pass --force to run it anyway"
                 )
     return SuiteReport(suite, params)
@@ -529,10 +532,12 @@ def suite_johnson(params: dict) -> SuiteReport:
 
 
 def _levels_chunk(args):
-    items, cutoff, k = args
+    items, k = args
     out = []
     for w, completion in items:
-        level = magnus.johnson_level(w, cutoff)
+        # a level below k is a depth d <= k, which shows at every cutoff >= d:
+        # cutoff max(k, 2) decides the verdict and every reported level
+        level = magnus.johnson_level(w, max(k, 2))
         ok = level is None or level >= k
         out.append((finc.format_token(w), list(completion), ok, level))
     return out
@@ -553,14 +558,12 @@ def suite_normal_gens(params: dict) -> SuiteReport:
     def run():
         generators = finc.enumerate_normal_generators(family, k, budget)
         if jobs > 1 and len(generators) > 8:
-            chunks = [
-                (generators[i::jobs], cutoff, k) for i in range(jobs)
-            ]
+            chunks = [(generators[i::jobs], k) for i in range(jobs)]
             with Pool(jobs) as pool:
                 parts = pool.map(_levels_chunk, chunks)
             rows = [row for part in parts for row in part]
         else:
-            rows = _levels_chunk((generators, cutoff, k))
+            rows = _levels_chunk((generators, k))
         rows.sort(key=lambda r: r[0])
         exceptions = [
             {"element": token, "completion": comp, "level": level}
@@ -644,7 +647,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("normal-gens", help="filtration level of commutator family")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, default=0, help="ambient rank (default 3k)")
-    p.add_argument("--cutoff", type=int, default=0, help="series cutoff, at least k and 2 (default k+2)")
+    p.add_argument(
+        "--cutoff", type=int, default=0,
+        help="series cutoff, at least k and 2 (default k+2); levels are decided "
+        "at degree max(k, 2), so every admitted cutoff gives the same verdicts and levels",
+    )
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--jobs", type=_jobs, default=1, help="worker processes (1 to CPU count)")
 

@@ -63,16 +63,47 @@ def test_normal_gens_suite():
 
 
 def test_normal_gens_sharded_matches_serial():
-    serial = run_suite(
-        "normal-gens", {"k": 2, "n": 6, "cutoff": 4, "budget": 120, "jobs": 1}
-    )
-    sharded = run_suite(
-        "normal-gens", {"k": 2, "n": 6, "cutoff": 4, "budget": 120, "jobs": 2}
-    )
-    assert serial.passed and sharded.passed
-    a, b = strip_times(serial.to_json()), strip_times(sharded.to_json())
-    assert (a["parameters"].pop("jobs"), b["parameters"].pop("jobs")) == (1, 2)
-    assert a == b
+    for k, n, budget in ((2, 6, 120), (3, 9, 200)):
+        params = {"k": k, "n": n, "cutoff": k + 2, "budget": budget}
+        serial = run_suite("normal-gens", {**params, "jobs": 1})
+        sharded = run_suite("normal-gens", {**params, "jobs": 2})
+        assert serial.passed and sharded.passed
+        assert serial.checks[0].detail["elements"] > 8, k
+        a, b = strip_times(serial.to_json()), strip_times(sharded.to_json())
+        assert (a["parameters"].pop("jobs"), b["parameters"].pop("jobs")) == (1, 2)
+        assert a == b
+
+
+def test_normal_gens_exceptions_same_at_every_cutoff(monkeypatch):
+    family = finc.FIncIA(6)
+    cases = [
+        # all 90 single Magnus generators have level 1, below 2
+        (2, finc.enumerate_normal_generators(family, 1), 90),
+        # of 69 2-fold commutators, the 60 of level 2 fail at k = 3 and the
+        # 9 of level 3 pass
+        (3, finc.enumerate_normal_generators(family, 2, 120), 60),
+    ]
+    for k, elements, failing in cases:
+        monkeypatch.setattr(
+            finc, "enumerate_normal_generators", lambda *args, elements=elements: elements
+        )
+        levels = {finc.format_token(w): magnus.johnson_level(w, k + 2) for w, _ in elements}
+        completions = {finc.format_token(w): list(c) for w, c in elements}
+        below = sorted(t for t, level in levels.items() if level is not None and level < k)
+        assert len(below) == failing, k
+        reports = [
+            run_suite(
+                "normal-gens", {"k": k, "n": 6, "cutoff": cutoff, "budget": None, "jobs": 1}
+            )
+            for cutoff in (max(k, 2), k + 2, k + 4)
+        ]
+        exceptions = [r.checks[0].detail["exceptions"] for r in reports]
+        assert not any(r.passed for r in reports)
+        assert exceptions[0] == exceptions[1] == exceptions[2]
+        assert [e["element"] for e in exceptions[0]] == below
+        for e in exceptions[0]:
+            assert e["level"] == levels[e["element"]]
+            assert e["completion"] == completions[e["element"]]
 
 
 def test_kmm_raag_graph_file(tmp_path):
@@ -134,6 +165,29 @@ def test_kmm_raag_cost_guard(tmp_path, capsys, monkeypatch):
             assert "--force" in capsys.readouterr().err
             with pytest.raises(Started):
                 main(argv + ["--force"])
+
+
+def test_refusal_far_above_bound_is_short(capsys, monkeypatch):
+    class Started(Exception):
+        pass
+
+    def work(*args):
+        raise Started
+
+    monkeypatch.setattr(finc, "magnus_generators", work)
+    monkeypatch.setattr(bns, "grid_sweep", work)
+    # a 116-digit pair count and a 646-digit character count are printed as
+    # over 10 x bound; 8308825 matrices, within 10 x 10**6, in full
+    cases = [
+        (["johnson", "--n", "300"], "estimates over 10000000 lift/generator pairs"),
+        (["kmm-raag", "--max-n", "200"], "estimates over 100000000 characters"),
+        (["johnson", "--n", "4", "--budget", "5"], "estimates 8308825 tilt matrices"),
+    ]
+    for argv, shown in cases:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and shown in err and "--force" in err, err
+        assert len(err) < 120, err
 
 
 def test_normal_gens_cutoff_below_k_refused(capsys, monkeypatch):

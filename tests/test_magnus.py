@@ -282,7 +282,7 @@ def test_substitution_level_matches_letter_route():
 
 def k2_levels(budget):
     """The k = 2 filtration elements at n = 6 with their levels at cutoff 4,
-    as the normal-gens suite computes them."""
+    the normal-gens default cutoff at k = 2."""
     out = enumerate_normal_generators(FIncIA(6), 2, budget=budget)
     return [(w, johnson_level(w, 4)) for w, _ in out]
 
