@@ -532,25 +532,25 @@ def suite_johnson(params: dict) -> SuiteReport:
 
 
 def _levels_chunk(args):
-    items, k = args
+    """The chunk's exceptions, the elements below level k, as report entries."""
+    items, k, n = args
     out = []
-    for w, completion in items:
+    for w in items:
         # a level below k is a depth d <= k, which shows at every cutoff >= d:
         # cutoff max(k, 2) decides the verdict and every reported level
         level = magnus.johnson_level(w, max(k, 2))
-        ok = level is None or level >= k
-        out.append((finc.format_token(w), list(completion), ok, level))
+        if level is not None and level < k:
+            completion = list(finc.support_completion(w, k, n))
+            out.append({"element": finc.format_token(w), "completion": completion, "level": level})
     return out
 
 
 def suite_normal_gens(params: dict) -> SuiteReport:
     report = SuiteReport("normal-gens", dict(params))
     k = params["k"]
+    if k < 1:
+        raise ValueError(f"normal-gens needs k >= 1, got {k}")
     n = params["n"] if params.get("n") else finc.GENERATION_DEGREE * k
-    cutoff = params["cutoff"] if params.get("cutoff") else k + 2
-    # a level not found below the cutoff certifies only level >= cutoff
-    if cutoff < max(k, 2):
-        raise ValueError(f"normal-gens needs cutoff >= max(k, 2) = {max(k, 2)}, got {cutoff}")
     budget = params.get("budget")
     jobs = params.get("jobs") or 1
     family = finc.FIncIA(n)
@@ -558,24 +558,19 @@ def suite_normal_gens(params: dict) -> SuiteReport:
     def run():
         generators = finc.enumerate_normal_generators(family, k, budget)
         if jobs > 1 and len(generators) > 8:
-            chunks = [(generators[i::jobs], k) for i in range(jobs)]
+            chunks = [(generators[i::jobs], k, n) for i in range(jobs)]
             with Pool(jobs) as pool:
                 parts = pool.map(_levels_chunk, chunks)
-            rows = [row for part in parts for row in part]
+            exceptions = [e for part in parts for e in part]
         else:
-            rows = _levels_chunk((generators, k))
-        rows.sort(key=lambda r: r[0])
-        exceptions = [
-            {"element": token, "completion": comp, "level": level}
-            for token, comp, ok, level in rows
-            if not ok
-        ]
+            exceptions = _levels_chunk((generators, k, n))
+        exceptions.sort(key=lambda e: e["element"])
         return not exceptions, {
             "summary": (
-                f"{len(rows)} deduplicated commutators at n={n}, cutoff={cutoff}, "
+                f"{len(generators)} deduplicated commutators at n={n}, "
                 f"{len(exceptions)} below level {k}"
             ),
-            "elements": len(rows),
+            "elements": len(generators),
             "exceptions": exceptions,
         }
 
@@ -647,11 +642,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("normal-gens", help="filtration level of commutator family")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, default=0, help="ambient rank (default 3k)")
-    p.add_argument(
-        "--cutoff", type=int, default=0,
-        help="series cutoff, at least k and 2 (default k+2); levels are decided "
-        "at degree max(k, 2), so every admitted cutoff gives the same verdicts and levels",
-    )
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--jobs", type=_jobs, default=1, help="worker processes (1 to CPU count)")
 

@@ -7,10 +7,10 @@ certified through generator supports.
 
 ``enumerate_normal_generators`` materializes the left-normed length-k
 commutators of Magnus generators that normally generate the k-th lower
-central series term, each tagged with a deterministic size-3k support
-completion.  The raw tuple space grows like |S|^k, so enumeration takes a
-budget: when the space is larger, tuples are taken on a deterministic
-evenly spaced stride through lexicographic order.
+central series term; ``support_completion`` gives any of them its
+deterministic size-3k index set.  The raw tuple space grows like |S|^k, so
+enumeration takes a budget: when the space is larger, tuples are taken on a
+deterministic evenly spaced stride through lexicographic order.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ __all__ = [
     "generation_degree_coverage",
     "left_normed_commutator",
     "enumerate_normal_generators",
+    "support_completion",
     "DEFAULT_TUPLE_BUDGET",
     "GENERATION_DEGREE",
 ]
@@ -198,7 +199,11 @@ def left_normed_commutator(factors: list[IAWord]) -> IAWord:
     return IAWord(factors[-1].rank, out)
 
 
-def _support_completion(support: frozenset[int], size: int, n: int) -> tuple[int, ...]:
+def support_completion(w: IAWord, k: int, n: int) -> tuple[int, ...]:
+    """The support of a length-k commutator completed to a size-3k index set
+    inside [n] by adding the smallest unused indices."""
+    size = GENERATION_DEGREE * k
+    support = w.ia_support()
     out = sorted(support)
     for i in range(1, n + 1):
         if len(out) >= size:
@@ -214,12 +219,10 @@ def enumerate_normal_generators(
     family: FIncIA,
     k: int,
     budget: int | None = None,
-) -> list[tuple[IAWord, tuple[int, ...]]]:
-    """Deduplicated left-normed length-k commutators of Magnus generators,
-    each with its support completed to a size-3k index set by adding the
-    smallest unused indices.  Identity realizations are dropped; within a
-    budget smaller than the |S|^k tuple space, tuples are stride-sampled in
-    lexicographic order."""
+) -> list[IAWord]:
+    """Deduplicated left-normed length-k commutators of Magnus generators.
+    Identity realizations are dropped; within a budget smaller than the
+    |S|^k tuple space, tuples are stride-sampled in lexicographic order."""
     if k < 1:
         raise ValueError("k must be >= 1")
     size = GENERATION_DEGREE * k
@@ -233,7 +236,7 @@ def enumerate_normal_generators(
     cap = DEFAULT_TUPLE_BUDGET if budget is None else budget
     step = 1 if total <= cap else -(-total // cap)  # ceil division
 
-    found = {}  # realized endomorphism -> (word, completion), in sampling order
+    found = {}  # realized endomorphism -> word, in sampling order
     for flat in range(0, total, step):
         digits = []
         rem = flat
@@ -245,5 +248,5 @@ def enumerate_normal_generators(
         endo = w.realized
         if is_identity(endo) or endo in found:
             continue
-        found[endo] = (w, _support_completion(w.ia_support(), size, family.n))
+        found[endo] = w
     return list(found.values())

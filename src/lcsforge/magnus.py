@@ -300,15 +300,15 @@ def johnson_level(phi: FreeEndo | IAWord, cutoff: int) -> int | None:
     means the level is certified >= cutoff.  IA inputs always have level >= 1.
 
     An ``IAWord`` is read by generator substitution (``_substituted_series``)
-    at cutoffs 3, 4, ... in turn: a depth d shows exactly at every cutoff
-    >= d, so the first cutoff that shows one gives the least depth, and a
-    word of level >= k never pays for the degrees above k + 1.  (Depth 2
-    shows at cutoff 3 too, for little more than at cutoff 2.)  The depth of
-    phi(x_i) x_i^-1 is the least nonzero degree of S_i - 1 - X_i, where S_i
-    is the series of phi(x_i) (see the module docstring).  A ``FreeEndo``
-    must pass the IA check, which an ``IAWord`` passes by construction; it is
-    read at the full cutoff by embedding each displaced image word letter by
-    letter.
+    at cutoffs min(3, cutoff), ..., cutoff in turn (cutoff 2 alone when the
+    cutoff is 2): a depth d shows exactly at every cutoff >= d, so the first
+    cutoff that shows one gives the least depth, and a word of level >= k
+    never pays for the degrees above k + 1.  (Depth 2 shows at cutoff 3 too,
+    for little more than at cutoff 2.)  The depth of phi(x_i) x_i^-1 is the
+    least nonzero degree of S_i - 1 - X_i, where S_i is the series of
+    phi(x_i) (see the module docstring).  A ``FreeEndo`` must pass the IA
+    check, which an ``IAWord`` passes by construction; it is read at the full
+    cutoff by embedding each displaced image word letter by letter.
     """
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")

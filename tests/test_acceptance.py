@@ -112,7 +112,7 @@ def test_c3_filtration_containment():
     summaries = []
     for k, budget in ((1, None), (2, 8100), (3, None)):
         report = cli.suite_normal_gens(
-            {"k": k, "n": 3 * k, "cutoff": k + 2, "budget": budget, "jobs": 2}
+            {"k": k, "n": 3 * k, "budget": budget, "jobs": 2}
         )
         detail = report.checks[0].detail
         summaries.append(
@@ -147,7 +147,7 @@ def test_c4_lie_bookkeeping():
         lhs = johnson.tau(autom.compose(u.realized, v.realized))
         assert lhs == johnson.h1_add(johnson.tau(u.realized), johnson.tau(v.realized))
     depth2 = finc.enumerate_normal_generators(finc.FIncIA(6), 2, budget=250)
-    for w, _ in depth2:
+    for w in depth2:
         assert johnson.tau(w.realized).is_zero()
     elapsed = time.perf_counter() - start
     _line(

@@ -57,14 +57,14 @@ def test_johnson_suite_small():
 
 
 def test_normal_gens_suite():
-    report = run_suite("normal-gens", {"k": 1, "n": 3, "cutoff": 3, "budget": None, "jobs": 1})
+    report = run_suite("normal-gens", {"k": 1, "n": 3, "budget": None, "jobs": 1})
     assert report.passed
     assert report.checks[0].detail["elements"] == 9
 
 
 def test_normal_gens_sharded_matches_serial():
     for k, n, budget in ((2, 6, 120), (3, 9, 200)):
-        params = {"k": k, "n": n, "cutoff": k + 2, "budget": budget}
+        params = {"k": k, "n": n, "budget": budget}
         serial = run_suite("normal-gens", {**params, "jobs": 1})
         sharded = run_suite("normal-gens", {**params, "jobs": 2})
         assert serial.passed and sharded.passed
@@ -74,36 +74,33 @@ def test_normal_gens_sharded_matches_serial():
         assert a == b
 
 
-def test_normal_gens_exceptions_same_at_every_cutoff(monkeypatch):
-    family = finc.FIncIA(6)
+def test_normal_gens_exceptions(monkeypatch):
     cases = [
         # all 90 single Magnus generators have level 1, below 2
-        (2, finc.enumerate_normal_generators(family, 1), 90),
-        # of 69 2-fold commutators, the 60 of level 2 fail at k = 3 and the
-        # 9 of level 3 pass
-        (3, finc.enumerate_normal_generators(family, 2, 120), 60),
+        (2, 6, finc.enumerate_normal_generators(finc.FIncIA(6), 1), 90),
+        # of 50 2-fold commutators, the 48 of level 2 fail at k = 3 and the
+        # 2 of level 3 pass
+        (3, 9, finc.enumerate_normal_generators(finc.FIncIA(9), 2, 120), 48),
     ]
-    for k, elements, failing in cases:
+    for k, n, elements, failing in cases:
         monkeypatch.setattr(
             finc, "enumerate_normal_generators", lambda *args, elements=elements: elements
         )
-        levels = {finc.format_token(w): magnus.johnson_level(w, k + 2) for w, _ in elements}
-        completions = {finc.format_token(w): list(c) for w, c in elements}
+        words = {finc.format_token(w): w for w in elements}
+        levels = {t: magnus.johnson_level(w, k + 2) for t, w in words.items()}
         below = sorted(t for t, level in levels.items() if level is not None and level < k)
         assert len(below) == failing, k
-        reports = [
-            run_suite(
-                "normal-gens", {"k": k, "n": 6, "cutoff": cutoff, "budget": None, "jobs": 1}
-            )
-            for cutoff in (max(k, 2), k + 2, k + 4)
-        ]
-        exceptions = [r.checks[0].detail["exceptions"] for r in reports]
-        assert not any(r.passed for r in reports)
-        assert exceptions[0] == exceptions[1] == exceptions[2]
-        assert [e["element"] for e in exceptions[0]] == below
-        for e in exceptions[0]:
+        report = run_suite("normal-gens", {"k": k, "n": n, "budget": None, "jobs": 1})
+        detail = report.checks[0].detail
+        assert not report.passed
+        assert detail["elements"] == len(elements)
+        assert [e["element"] for e in detail["exceptions"]] == below
+        for e in detail["exceptions"]:
             assert e["level"] == levels[e["element"]]
-            assert e["completion"] == completions[e["element"]]
+            completion = e["completion"]
+            assert len(completion) == len(set(completion)) == 3 * k
+            assert all(1 <= i <= n for i in completion)
+            assert words[e["element"]].ia_support() <= set(completion)
 
 
 def test_kmm_raag_graph_file(tmp_path):
@@ -190,7 +187,7 @@ def test_refusal_far_above_bound_is_short(capsys, monkeypatch):
         assert len(err) < 120, err
 
 
-def test_normal_gens_cutoff_below_k_refused(capsys, monkeypatch):
+def test_normal_gens_k_below_one_refused(capsys, monkeypatch):
     class Started(Exception):
         pass
 
@@ -198,16 +195,23 @@ def test_normal_gens_cutoff_below_k_refused(capsys, monkeypatch):
         raise Started
 
     monkeypatch.setattr(finc, "enumerate_normal_generators", enumerate_gens)
-    # a level not found below the cutoff certifies only level >= cutoff, so
-    # the cutoff must reach k; johnson_level needs a cutoff of at least 2
-    for k, cutoff in ((3, 2), (2, 1), (1, 1), (1, -1), (3, -1)):
-        argv = ["normal-gens", "--k", str(k), "--cutoff", str(cutoff)]
-        assert main(argv) == 2, argv
-        assert "error: normal-gens needs cutoff >=" in capsys.readouterr().err
-    # 0 means the default, k + 2
-    for k, cutoff in ((3, 3), (1, 2), (2, 0), (1, 0)):
-        with pytest.raises(Started):
-            main(["normal-gens", "--k", str(k), "--cutoff", str(cutoff)])
+    for k in (0, -1):
+        assert main(["normal-gens", "--k", str(k)]) == 2, k
+        assert f"error: normal-gens needs k >= 1, got {k}" in capsys.readouterr().err
+    with pytest.raises(Started):
+        main(["normal-gens", "--k", "1"])
+
+
+def test_normal_gens_has_no_cutoff(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["normal-gens", "--k", "1", "--cutoff", "4"])
+    assert exc.value.code == 2
+    assert "--cutoff" in capsys.readouterr().err
+    path = tmp_path / "report.json"
+    assert main(["normal-gens", "--k", "1", "--json", str(path)]) == 0
+    report = json.loads(path.read_text())
+    assert report["parameters"] == {"budget": None, "jobs": 1, "k": 1, "n": 0}
+    assert "cutoff" not in report["checks"][0]["detail"]["summary"]
 
 
 def test_unknown_suite_rejected():

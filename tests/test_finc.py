@@ -27,6 +27,7 @@ from lcsforge.finc import (
     left_normed_commutator,
     magnus_generators,
     subgroup_generators,
+    support_completion,
 )
 from lcsforge.magnus import johnson_level
 
@@ -123,7 +124,8 @@ def test_enumerate_k1_is_generating_set():
     out = enumerate_normal_generators(fam, 1)
     gens = magnus_generators(fam)
     assert len(out) == len(gens)
-    for w, completion in out:
+    for w in out:
+        completion = support_completion(w, 1, 3)
         assert len(completion) == 3
         assert w.ia_support() <= set(completion)
 
@@ -144,13 +146,17 @@ def test_enumerate_k2_properties():
     out = enumerate_normal_generators(fam, 2, budget=800)
     assert out, "budgeted enumeration should produce elements"
     seen = set()
-    for w, completion in out:
+    for w in out:
         endo = w.realized
         assert not is_identity(endo)
         assert endo not in seen
         seen.add(endo)
+        completion = support_completion(w, 2, 6)
         assert len(completion) == 6
         assert w.ia_support() <= set(completion)
+    # 3k = 9 indices do not fit inside [6]
+    with pytest.raises(ValueError, match="cannot complete"):
+        support_completion(out[0], 3, 6)
 
 
 def test_enumerate_filters_disjoint_pairs():
@@ -160,7 +166,7 @@ def test_enumerate_filters_disjoint_pairs():
     v = ia_word(6, [conj(3, 4)])
     assert is_identity(left_normed_commutator([u, v]).realized)
     out = enumerate_normal_generators(fam, 2, budget=200)
-    tokens = {format_token(w) for w, _ in out}
+    tokens = {format_token(w) for w in out}
     assert "K[1,2];K[3,4];K[1,2]';K[3,4]'" not in tokens
 
 
@@ -168,9 +174,7 @@ def test_enumerate_deterministic():
     fam = FIncIA(6)
     a = enumerate_normal_generators(fam, 2, budget=300)
     b = enumerate_normal_generators(fam, 2, budget=300)
-    assert [(format_token(w), j) for w, j in a] == [
-        (format_token(w), j) for w, j in b
-    ]
+    assert [format_token(w) for w in a] == [format_token(w) for w in b]
 
 
 def test_enumerate_budget_caps_work():
@@ -182,7 +186,7 @@ def test_enumerate_budget_caps_work():
 def test_k2_sample_has_level_at_least_2():
     fam = FIncIA(6)
     out = enumerate_normal_generators(fam, 2, budget=300)
-    for w, _ in out:
+    for w in out:
         lvl = johnson_level(w.realized, 4)
         assert lvl is None or lvl >= 2, format_token(w)
 

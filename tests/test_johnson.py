@@ -70,7 +70,7 @@ def test_tau_additive():
 
 def test_tau_vanishes_above_level_one():
     fam = FIncIA(6)
-    for w, _ in enumerate_normal_generators(fam, 2, budget=250):
+    for w in enumerate_normal_generators(fam, 2, budget=250):
         assert tau(w.realized).is_zero()
 
 
