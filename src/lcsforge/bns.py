@@ -39,18 +39,15 @@ __all__ = [
     "RAAGPresentation",
     "raag",
     "raag_from_text",
-    "raag_to_text",
     "RAAGWord",
     "raag_word",
     "raag_normal_form",
-    "raag_equal",
     "raag_commute",
     "RAAGContext",
     "KMMCertificate",
     "KMMFailure",
     "kmm_check",
     "certificate_revalidate",
-    "certificate_to_json",
     "mv_oracle",
     "SweepRecord",
     "SweepReport",
@@ -160,12 +157,6 @@ def raag_from_text(text: str) -> RAAGPresentation:
     return raag(count, edges)
 
 
-def raag_to_text(g: RAAGPresentation) -> str:
-    lines = [str(g.n_vertices)]
-    lines += [f"{u} {v}" for u, v in sorted(g.edges)]
-    return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True)
 class RAAGWord:
     """Word in signed vertex generators (+i / -i)."""
@@ -234,10 +225,6 @@ def _inv_letters(letters: Sequence[int]) -> tuple[int, ...]:
     return tuple(-v for v in reversed(letters))
 
 
-def raag_equal(u: RAAGWord, v: RAAGWord, g: RAAGPresentation) -> bool:
-    return raag_normal_form(u, g) == raag_normal_form(v, g)
-
-
 def raag_commute(u: RAAGWord, v: RAAGWord, g: RAAGPresentation) -> bool:
     comm = RAAGWord(
         u.letters + v.letters + _inv_letters(u.letters) + _inv_letters(v.letters)
@@ -272,12 +259,6 @@ class RAAGContext:
             out.append(sum(terms[1:], terms[0]) if terms else 0)
         return out
 
-    def format_element(self, w: RAAGWord) -> list[int]:
-        return list(w.letters)
-
-    def parse_element(self, data: Sequence[int]) -> RAAGWord:
-        return raag_word(data)
-
 
 # ---------------------------------------------------------------------------
 # The KMM criterion
@@ -287,15 +268,15 @@ class RAAGContext:
 class KMMCertificate:
     """Witness that a character satisfies the sufficient conditions: all of
     A survives, the commutation graph on A is connected (spanning tree
-    recorded), every element of B commutes with a recorded element of A, and
-    generation of the group by B is attested."""
+    recorded), and every element of B commutes with a recorded element of A.
+    Generation by B is a hypothesis the caller attests: ``kmm_check`` returns
+    a failure without it, so a certificate records nothing for it."""
 
     a_elements: tuple
     b_elements: tuple
     survival: tuple[tuple[int, Fraction], ...]  # position in A -> value
     spanning_tree: tuple[tuple[int, int], ...]
     domination: tuple[tuple[int, int], ...]  # position in B -> position in A
-    generation_attested: bool
 
     @property
     def ok(self) -> bool:
@@ -378,7 +359,6 @@ def kmm_check(
         tuple(survival),
         tree,
         tuple(domination),
-        True,
     )
 
 
@@ -386,7 +366,7 @@ def certificate_revalidate(
     cert: KMMCertificate, ctx, char: Character
 ) -> bool:
     """Re-verify every certificate field from scratch."""
-    if char.is_zero() or not cert.a_elements or not cert.generation_attested:
+    if char.is_zero() or not cert.a_elements:
         return False
     recorded = dict(cert.survival)
     for i, v in enumerate(ctx.char_values(char, cert.a_elements)):
@@ -408,28 +388,6 @@ def certificate_revalidate(
         if not ctx.commutes(b, cert.a_elements[dom[j]]):
             return False
     return True
-
-
-def certificate_to_json(cert: KMMCertificate, ctx) -> dict:
-    return {
-        "A": [ctx.format_element(a) for a in cert.a_elements],
-        "B": [ctx.format_element(b) for b in cert.b_elements],
-        "survival": [[i, str(v)] for i, v in cert.survival],
-        "spanning_tree": [list(e) for e in cert.spanning_tree],
-        "domination": [list(e) for e in cert.domination],
-        "generation_attested": cert.generation_attested,
-    }
-
-
-def certificate_from_json(data: Mapping, ctx) -> KMMCertificate:
-    return KMMCertificate(
-        tuple(ctx.parse_element(a) for a in data["A"]),
-        tuple(ctx.parse_element(b) for b in data["B"]),
-        tuple((int(i), Fraction(v)) for i, v in data["survival"]),
-        tuple((int(i), int(j)) for i, j in data["spanning_tree"]),
-        tuple((int(i), int(j)) for i, j in data["domination"]),
-        bool(data["generation_attested"]),
-    )
 
 
 # ---------------------------------------------------------------------------

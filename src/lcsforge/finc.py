@@ -1,9 +1,10 @@
 """The IA family over finite index sets, and its axiom checkers.
 
 Indices are global, so the inclusion of the subgroup supported on I into the
-one supported on J is literally the identity on generator words.  Subgroups
-are presented by their Magnus generators; "generated in degree d" is
-certified through generator supports.
+one supported on J keeps each generator word and only raises its rank;
+``check_functoriality`` verifies that the realized map is then the same map
+extended by the identity.  Subgroups are presented by their Magnus
+generators; "generated in degree d" is certified through generator supports.
 
 ``enumerate_normal_generators`` materializes the left-normed length-k
 commutators of Magnus generators that normally generate the k-th lower
@@ -96,29 +97,24 @@ def include_ia(w: IAWord, target_rank: int) -> IAWord:
     return IAWord(target_rank, w.gens)
 
 
-def check_functoriality(family: FIncIA, inner, middle, outer) -> bool:
-    """Both inclusion routes I -> J -> K and I -> K give the same generator
-    word, hence the same automorphism, on every generator of the inner
-    subgroup.  Under global indexing both routes yield ``IAWord(r_K,
-    gen.gens)`` by construction, so the comparison cannot fail.  Nor can
-    the rank validation of the word the route through J builds at r_J, the
-    smallest rank containing J: on a valid chain r_J >= max(I).  So the check
-    cannot fail at all; only an invalid chain raises."""
-    si, sj, sk = set(inner), set(middle), set(outer)
-    if not (si <= sj <= sk):
-        raise ValueError("need a chain I <= J <= K")
-    if any(not 1 <= i <= family.n for i in sk):
-        raise ValueError(f"chain escapes ambient rank {family.n}")
-    r_i = max(si, default=1)
-    r_j = max(sj, default=r_i)
-    r_k = max(sk, default=r_j)
-    for tok in _magnus_tokens(tuple(sorted(si))):
-        gen = ia_word(r_i, [tok])
-        via_middle = include_ia(include_ia(gen, r_j), r_k)
-        direct = include_ia(gen, r_k)
-        if via_middle != direct:
-            return False
-    return True
+def check_functoriality(family: FIncIA) -> list[tuple[str, int]]:
+    """Inclusion commutes with realization.  Each Magnus generator is realized
+    at its largest index m and, re-ranked by ``include_ia``, at every rank
+    from m + 1 to n; ``FreeEndo`` stores only moved generators, so equal
+    images mean the same map extended by the identity.  Returns the
+    (token, rank) pairs whose images differ from those at rank m.
+
+    A chain I <= J <= K inside [n] takes a generator on I through the ranks
+    r_I <= r_J <= r_K, all between m and n, so these comparisons cover every
+    one of the 4^n chains."""
+    bad = []
+    for tok in _magnus_tokens(tuple(range(1, family.n + 1))):
+        w = ia_word(max(tok.indices), [tok])
+        base = w.realized.images
+        for r in range(w.rank + 1, family.n + 1):
+            if include_ia(w, r).realized.images != base:
+                bad.append((tok.token(), r))
+    return bad
 
 
 @dataclass(frozen=True)

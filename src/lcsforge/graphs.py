@@ -1,6 +1,6 @@
 """Undirected graphs on opaque labels: subset-disjointness graphs with path
-witnesses, commutation graphs of automorphism lists, and the two-step link
-construction used to connect a moved basepoint back to itself.
+witnesses, and the two-step link construction used to connect a moved
+basepoint back to itself.
 
 Only the index-set shadow of the (infinite) configuration graph is ever
 materialized; the two-step witnesses carry the explicit commutation tables
@@ -27,10 +27,8 @@ __all__ = [
     "expected_disjointness_connectivity",
     "disjointness_path",
     "validate_path",
-    "commutation_graph",
     "TwoStepWitness",
     "two_step_witness",
-    "to_dot",
 ]
 
 Label = Hashable
@@ -185,20 +183,6 @@ def disjointness_path(
     raise ValueError(f"no disjointness path from {a} to {b} at (n={n}, m={m})")
 
 
-def commutation_graph(elements: Sequence[IAWord]) -> UGraph:
-    """Vertices are list positions; edges connect commuting realizations."""
-    ranks = {w.rank for w in elements}
-    if len(ranks) > 1:
-        raise ValueError(f"mixed ranks {sorted(ranks)}")
-    verts = range(len(elements))
-    edges = [
-        (i, j)
-        for i, j in combinations(verts, 2)
-        if commute(elements[i], elements[j])
-    ]
-    return ugraph(verts, edges)
-
-
 @dataclass(frozen=True)
 class TwoStepWitness:
     """The middle vertex of a two-edge link: an index set whose subgroup
@@ -288,13 +272,3 @@ def two_step_witness(
         for v in conj_gens
     )
     return TwoStepWitness(middle, base_pairs, conj_pairs)
-
-
-def to_dot(g: UGraph, name: str = "g") -> str:
-    lines = [f"graph {name} {{"]
-    for v in _sorted_labels(g.vertices):
-        lines.append(f'  "{v}";')
-    for u, v in sorted(g.edges, key=repr):
-        lines.append(f'  "{u}" -- "{v}";')
-    lines.append("}")
-    return "\n".join(lines)

@@ -48,8 +48,6 @@ __all__ = [
     "TiltResult",
     "tilt_search",
     "rational_rank",
-    "format_h1",
-    "parse_h1",
 ]
 
 Key = tuple[int, int, int]  # (a, b, c) with b < c
@@ -446,16 +444,3 @@ def _row_reduce(
 def rational_rank(rows: Iterable[Sequence[Fraction | int]]) -> int:
     """Row-echelon rank with exact fraction arithmetic."""
     return _row_reduce(rows)[1]
-
-
-def format_h1(v: H1Vector | H1Functional) -> dict[str, str]:
-    """Sparse `a|b|c -> coeff` records, JSON-friendly."""
-    return {f"{a}|{b}|{c}": str(val) for (a, b, c), val in v.coords}
-
-
-def parse_h1(n: int, records: Mapping[str, str], dual: bool = False):
-    coords = {}
-    for key, val in records.items():
-        a, b, c = (int(p) for p in key.split("|"))
-        coords[(a, b, c)] = Fraction(val)
-    return h1_functional(n, coords) if dual else h1_vector(n, coords)

@@ -1,4 +1,3 @@
-import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -13,9 +12,7 @@ from lcsforge.bns import (
     RAAGContext,
     SweepRecord,
     all_graphs,
-    certificate_from_json,
     certificate_revalidate,
-    certificate_to_json,
     character,
     character_grid,
     character_validate,
@@ -23,10 +20,8 @@ from lcsforge.bns import (
     mv_oracle,
     raag,
     raag_commute,
-    raag_equal,
     raag_from_text,
     raag_normal_form,
-    raag_to_text,
     raag_word,
     soundness_sweep,
 )
@@ -69,7 +64,8 @@ def test_normal_form_idempotent_and_swap_invariant():
 
 def test_raag_equal_and_commute():
     g = raag(2, [(1, 2)])
-    assert raag_equal(raag_word([1, 2]), raag_word([2, 1]), g)
+    nf = raag_normal_form(raag_word([1, 2]), g)
+    assert nf == raag_normal_form(raag_word([2, 1]), g)
     assert raag_commute(raag_word([1, 2]), raag_word([2, 1]), g)
     g0 = raag(2, [])
     assert not raag_commute(raag_word([1]), raag_word([2]), g0)
@@ -87,7 +83,6 @@ def test_graph_file_roundtrip():
     text = "# demo graph\n4\n1 2\n2 3  # chord\n3 4\n1 4\n"
     g = raag_from_text(text)
     assert g == FOUR_CYCLE
-    assert raag_from_text(raag_to_text(g)) == g
     with pytest.raises(ValueError):
         raag_from_text("# only comments\n")
 
@@ -112,17 +107,6 @@ def test_kmm_four_cycle_certificate():
     assert out.ok
     assert len(out.spanning_tree) == 3
     assert certificate_revalidate(out, ctx, lam)
-
-
-def test_kmm_certificate_json_roundtrip():
-    ctx = RAAGContext(FOUR_CYCLE)
-    lam = character({v: 1 for v in range(1, 5)})
-    elements = [raag_word([v]) for v in range(1, 5)]
-    cert = kmm_check(ctx, lam, elements, elements, True)
-    blob = json.dumps(certificate_to_json(cert, ctx))
-    back = certificate_from_json(json.loads(blob), ctx)
-    assert back == cert
-    assert certificate_revalidate(back, ctx, lam)
 
 
 def test_kmm_disconnected_failure():

@@ -5,8 +5,9 @@ import warnings
 
 import pytest
 
-from lcsforge import bns, finc, magnus
+from lcsforge import autom, bns, cli, finc, magnus
 from lcsforge.cli import _build_parser, main, run_suite
+from lcsforge.words import Word
 
 
 def strip_times(payload):
@@ -47,6 +48,23 @@ def test_ia_axioms_suite():
         "condition-eii",
         "coverage-degree",
     }
+
+
+def test_ia_axioms_functoriality_catches_rank_dependent_realization(monkeypatch):
+    real_free_endo = autom.free_endo
+
+    def leaky(rank, images):
+        # from rank 5 on, every realization also moves x_rank to x_rank x_1
+        if rank >= 5:
+            images = {rank: Word((rank, 1)), **images}
+        return real_free_endo(rank, images)
+
+    monkeypatch.setattr(autom, "free_endo", leaky)
+    report = cli.suite_ia_axioms({"n": 6})
+    check = next(c for c in report.checks if c.name == "functoriality")
+    assert not check.passed
+    assert check.detail["chains"] == 4096
+    assert {r for _, r in check.detail["failures"]} == {5, 6}
 
 
 def test_johnson_suite_small():

@@ -1,6 +1,5 @@
 import pickle
 import random
-from itertools import product
 
 import pytest
 
@@ -55,24 +54,9 @@ def test_generator_supports_inside_index_set():
         assert g.ia_support() <= {2, 4, 5}
 
 
-def test_functoriality_examples():
-    fam = FIncIA(3)
-    assert check_functoriality(fam, {1}, {1, 2}, {1, 2, 3})
-    assert check_functoriality(fam, {1, 2}, {1, 2}, {1, 2})
-
-
 def test_functoriality_exhaustive_small():
-    fam = FIncIA(4)
-    for assignment in product(range(4), repeat=4):
-        inner = [i + 1 for i, a in enumerate(assignment) if a == 3]
-        middle = [i + 1 for i, a in enumerate(assignment) if a >= 2]
-        outer = [i + 1 for i, a in enumerate(assignment) if a >= 1]
-        assert check_functoriality(fam, inner, middle, outer)
-
-
-def test_functoriality_rejects_non_chain():
-    with pytest.raises(ValueError):
-        check_functoriality(FIncIA(4), {1, 2}, {2, 3}, {1, 2, 3})
+    for n in range(1, 6):
+        assert check_functoriality(FIncIA(n)) == [], n
 
 
 def test_include_rejects_shrinking():

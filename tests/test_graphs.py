@@ -5,13 +5,11 @@ import pytest
 from lcsforge.autom import comm_move, conj, ia_word
 from lcsforge.finc import FIncIA, magnus_generators
 from lcsforge.graphs import (
-    commutation_graph,
     connectivity,
     disjointness_graph,
     disjointness_path,
     expected_disjointness_connectivity,
     is_connected,
-    to_dot,
     two_step_witness,
     ugraph,
     validate_path,
@@ -121,28 +119,6 @@ def test_path_rejects_bad_endpoints():
         disjointness_path(5, 2, (1, 6), (1, 2))
 
 
-def test_commutation_graph_examples():
-    a = commutation_graph([ia_word(4, [conj(1, 2)]), ia_word(4, [conj(3, 4)])])
-    assert len(a.edges) == 1
-    b = commutation_graph([ia_word(4, [conj(1, 2)])])
-    assert is_connected(b)
-    c = commutation_graph(
-        [
-            ia_word(5, [conj(1, 2)]),
-            ia_word(5, [conj(1, 3)]),
-            ia_word(5, [conj(4, 5)]),
-        ]
-    )
-    # the disjointly supported vertex is adjacent to both others; the two
-    # conjugations of x1 interfere
-    assert c.edges == frozenset({(0, 2), (1, 2)})
-
-
-def test_commutation_graph_rank_mismatch():
-    with pytest.raises(ValueError):
-        commutation_graph([ia_word(4, [conj(1, 2)]), ia_word(5, [conj(1, 2)])])
-
-
 def test_two_step_general_mode():
     n, m, d = 8, 2, 3  # n = 2m + d + 1
     mover = ia_word(n, [comm_move(1, 2, 3)])
@@ -200,9 +176,3 @@ def test_two_step_exhaustive_small_ranks():
         for mover in magnus_generators(FIncIA(n)):
             wit = two_step_witness(n, m, 3, base, mover)
             assert wit.ok, (n, m, mover)
-
-
-def test_to_dot():
-    g = ugraph([1, 2], [(1, 2)])
-    text = to_dot(g)
-    assert '"1" -- "2";' in text and text.startswith("graph g {")

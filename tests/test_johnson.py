@@ -24,7 +24,6 @@ from lcsforge.finc import FIncIA, enumerate_normal_generators, magnus_generators
 from lcsforge.johnson import (
     elementary_matrix,
     equivariance_failures,
-    format_h1,
     glnz_action,
     h1_add,
     h1_basis_keys,
@@ -35,7 +34,6 @@ from lcsforge.johnson import (
     mat_inverse_unimodular,
     mat_mul,
     pairing,
-    parse_h1,
     rational_rank,
     subspace_image_basis,
     tau,
@@ -474,15 +472,6 @@ def test_rational_rank_basics():
     assert rational_rank([[1, 2], [2, 4]]) == 1
     assert rational_rank([[Fraction(1, 2), Fraction(1, 3)]]) == 1
     assert rational_rank([]) == 0
-
-
-def test_h1_serialization_roundtrip():
-    v = h1_vector(3, {(1, 2, 3): Fraction(5, 2), (3, 1, 2): -1})
-    records = format_h1(v)
-    assert records == {"1|2|3": "5/2", "3|1|2": "-1"}
-    assert parse_h1(3, records) == v
-    lam = h1_functional(3, {(2, 1, 3): Fraction(1, 3)})
-    assert parse_h1(3, format_h1(lam), dual=True) == lam
 
 
 def test_h1_vector_validation():
