@@ -10,6 +10,7 @@ functional sample); exact suites ignore it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -19,7 +20,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from multiprocessing import Pool
 
 from . import autom, bns, finc, graphs, johnson, magnus, words
 
@@ -148,22 +148,39 @@ def suite_depth(params: dict) -> SuiteReport:
 # kneser
 
 
+# Above this many neighbour visits kneser refuses to start without --force.
+KNESER_MAX_VISITS = 10**7
+
+
+def _kneser_visits(max_n: int, max_m: int) -> int:
+    """Neighbour visits of the BFS over every (n, m) in the range: each of
+    the C(n, m) vertices has C(n - m, m) neighbours.  The sum stops once it
+    passes 10 x bound, so a huge range is not summed to its end."""
+    total = 0
+    for m in range(1, max_m + 1):
+        for n in range(2 * m, max_n + 1):
+            total += math.comb(n, m) * math.comb(n - m, m)
+            if total > 10 * KNESER_MAX_VISITS:
+                return total
+    return total
+
+
 def suite_kneser(params: dict) -> SuiteReport:
-    report = SuiteReport("kneser", dict(params))
     max_n, max_m = params["max_n"], params["max_m"]
     if not 1 <= max_m <= max_n:
         raise ValueError(f"kneser needs 1 <= max_m <= max_n, got {max_m} and {max_n}")
+    visits = _kneser_visits(max_n, max_m)
+    report = _admitted("kneser", params, [("neighbour visits", visits, KNESER_MAX_VISITS)])
     for m in range(1, max_m + 1):
 
         def run(m=m):
             rows = []
             mismatches = []
             for n in range(m, max_n + 1):
-                g = graphs.disjointness_graph(n, m)
-                got = graphs.is_connected(g)
+                got = graphs.disjointness_connected(n, m)
                 law = graphs.expected_disjointness_connectivity(n, m)
                 rows.append(
-                    {"n": n, "vertices": len(g.vertices), "connected": got, "law": law}
+                    {"n": n, "vertices": math.comb(n, m), "connected": got, "law": law}
                 )
                 if got != law:
                     mismatches.append({"n": n, "m": m, "connected": got, "law": law})
@@ -192,10 +209,26 @@ def _disjoint_subset_pairs(n: int):
             yield left, right
 
 
+# Above this many subset assignments plus generator pairs ia-axioms refuses
+# to start without --force.
+IA_AXIOMS_MAX_COST = 10**6
+
+
 def suite_ia_axioms(params: dict) -> SuiteReport:
-    report = SuiteReport("ia-axioms", dict(params))
     n = params["n"]
     family = finc.FIncIA(n)
+    # 3^n assignments of each index to left, right or neither, and the
+    # (n^2(n-1)/2)^2 ordered pairs of Magnus generators
+    gens = n * n * (n - 1) // 2
+    report = _admitted("ia-axioms", params, [
+        ("assignments plus generator pairs", 3 ** min(n, 64) + gens * gens,
+         IA_AXIOMS_MAX_COST),
+    ])
+
+    @functools.cache
+    def verdicts():
+        # one verdict per disjoint generator pair, read by both commuting checks
+        return finc.disjoint_pair_verdicts(family)
 
     def run_functoriality():
         bad = finc.check_functoriality(family)
@@ -209,21 +242,21 @@ def suite_ia_axioms(params: dict) -> SuiteReport:
         bad = []
         total = 0
         for left, right in _disjoint_subset_pairs(n):
-            wit = finc.check_commuting(family, left, right)
             total += 1
-            if not wit.ok:
-                bad.append(
-                    {"left": list(left), "right": list(right),
-                     "pairs": wit.counterexamples()}
-                )
+            pairs = verdicts().counterexamples(left, right)
+            if pairs:
+                bad.append({"left": list(left), "right": list(right), "pairs": pairs})
         return not bad, {
             "summary": f"{total} disjoint subset pairs, trivial conjugators",
             "pairs": total,
+            "generator_pairs": verdicts().decided,
             "failures": bad,
         }
 
     def run_eii():
-        results = {m: finc.check_condition_eii(family, m) for m in range(1, n // 2 + 1)}
+        results = {
+            m: finc.check_condition_eii(verdicts(), m) for m in range(1, n // 2 + 1)
+        }
         ok = all(results.values())
         return ok, {
             "summary": f"m = 1..{n // 2}",
@@ -550,6 +583,9 @@ def suite_normal_gens(params: dict) -> SuiteReport:
     def run():
         generators = finc.enumerate_normal_generators(family, k, budget)
         if jobs > 1 and len(generators) > 8:
+            # the only import the serial route never needs
+            from multiprocessing import Pool
+
             chunks = [(generators[i::jobs], k, n) for i in range(jobs)]
             with Pool(jobs) as pool:
                 parts = pool.map(_levels_chunk, chunks)
@@ -616,11 +652,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True, help="dot-joined letters, e.g. x1.x2.X1.X2")
     p.add_argument("--cutoff", type=int, default=4)
 
-    p = add("kneser", help="subset-disjointness connectivity table")
+    p = add("kneser", guarded, help="subset-disjointness connectivity table")
     p.add_argument("--max-n", type=int, default=12)
     p.add_argument("--max-m", type=int, default=5)
 
-    p = add("ia-axioms", help="family axioms at one ambient rank")
+    p = add("ia-axioms", guarded, help="family axioms at one ambient rank")
     p.add_argument("--n", type=int, default=6)
 
     p = add("kmm-raag", guarded, help="criterion-vs-oracle soundness sweep")

@@ -39,6 +39,8 @@ __all__ = [
     "include_ia",
     "check_functoriality",
     "check_commuting",
+    "PairVerdicts",
+    "disjoint_pair_verdicts",
     "check_condition_eii",
     "generation_degree_coverage",
     "left_normed_commutator",
@@ -162,17 +164,71 @@ def format_token(w: IAWord) -> str:
     return ";".join(g.token() for g in w.gens) or "1"
 
 
-def check_condition_eii(family: FIncIA, m: int) -> bool:
+@dataclass(frozen=True)
+class PairVerdicts:
+    """Commutation decided once per unordered pair of Magnus generators with
+    disjoint supports.  A subset pair's commuting table holds the generator
+    pair (u, v) exactly when supp u lies in the left set and supp v in the
+    right one, so the failing pairs settle every subset pair's table."""
+
+    n: int
+    decided: int
+    failing: tuple[tuple[IAGenerator, IAGenerator], ...]
+
+    def hits(self, left, right) -> set[tuple[str, str]]:
+        """The failing (left token, right token) pairs whose supports lie in
+        the left and the right index set."""
+        li, ri = set(left), set(right)
+        hits = set()
+        for a, b in self.failing:
+            if a.indices <= li and b.indices <= ri:
+                hits.add((a.token(), b.token()))
+            if b.indices <= li and a.indices <= ri:
+                hits.add((b.token(), a.token()))
+        return hits
+
+    def counterexamples(self, left, right) -> list[tuple[str, str]]:
+        """What ``check_commuting(family, left, right).counterexamples()``
+        gives, in its table order; the table is built only when some failing
+        pair fits."""
+        hits = self.hits(left, right)
+        if not hits:
+            return []
+        li = tuple(sorted(set(left)))
+        ri = tuple(sorted(set(right)))
+        return [
+            (u.token(), v.token())
+            for u in _magnus_tokens(li)
+            for v in _magnus_tokens(ri)
+            if (u.token(), v.token()) in hits
+        ]
+
+
+def disjoint_pair_verdicts(family: FIncIA) -> PairVerdicts:
+    """Decide, by direct composition, whether each unordered pair of Magnus
+    generators with disjoint supports commutes; each generator's realization
+    is built once and shared by its pairs."""
+    gens = magnus_generators(family)
+    decided = 0
+    failing = []
+    for u, v in combinations(gens, 2):
+        if u.gens[0].indices.isdisjoint(v.gens[0].indices):
+            decided += 1
+            if not commute(u, v):
+                failing.append((u.gens[0], v.gens[0]))
+    return PairVerdicts(family.n, decided, tuple(failing))
+
+
+def check_condition_eii(verdicts: PairVerdicts, m: int) -> bool:
     """The strengthened commuting condition at size m: the initial-segment
     subgroup commutes with every same-size subgroup disjoint from it."""
-    if not 1 <= m <= family.n:
-        raise ValueError(f"m={m} outside 1..{family.n}")
-    base = tuple(range(1, m + 1))
-    rest = [i for i in range(1, family.n + 1) if i > m]
-    for other in combinations(rest, m):
-        if not check_commuting(family, base, other).ok:
-            return False
-    return True
+    n = verdicts.n
+    if not 1 <= m <= n:
+        raise ValueError(f"m={m} outside 1..{n}")
+    base = range(1, m + 1)
+    return not any(
+        verdicts.hits(base, other) for other in combinations(range(m + 1, n + 1), m)
+    )
 
 
 def generation_degree_coverage(family: FIncIA) -> int:

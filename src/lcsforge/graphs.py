@@ -9,6 +9,7 @@ that justify each edge.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -24,6 +25,7 @@ __all__ = [
     "connectivity",
     "is_connected",
     "disjointness_graph",
+    "disjointness_connected",
     "expected_disjointness_connectivity",
     "disjointness_path",
     "validate_path",
@@ -122,6 +124,27 @@ def disjointness_graph(n: int, m: int) -> UGraph:
         (u, v) for (u, mu), (v, mv) in combinations(keyed, 2) if not mu & mv
     )
     return UGraph(tuple(verts), edges)
+
+
+def disjointness_connected(n: int, m: int) -> bool:
+    """Whether the disjointness graph of the m-subsets of {1..n} is connected,
+    without building it: a BFS from {1..m} whose neighbours of u are the
+    m-subsets of {1..n} minus u.  A BFS has reached every vertex exactly when
+    the graph is connected, so it stops once all C(n, m) subsets are seen."""
+    if not 1 <= m <= n:
+        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+    total = math.comb(n, m)
+    start = tuple(range(1, m + 1))
+    seen = {start}
+    queue = deque([start])
+    while queue and len(seen) < total:
+        u = queue.popleft()
+        rest = [i for i in range(1, n + 1) if i not in u]
+        for w in combinations(rest, m):
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return len(seen) == total
 
 
 def expected_disjointness_connectivity(n: int, m: int) -> bool:

@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from lcsforge import autom, bns, cli, finc, magnus
+from lcsforge import autom, bns, cli, finc, graphs, magnus
 from lcsforge.cli import _build_parser, main, run_suite
 from lcsforge.words import Word
 
@@ -48,6 +48,58 @@ def test_ia_axioms_suite():
         "condition-eii",
         "coverage-degree",
     }
+    commuting = next(c for c in report.checks if c.name == "disjoint-commuting")
+    assert commuting.detail["generator_pairs"] == 12
+
+
+def test_ia_axioms_decides_each_disjoint_generator_pair_once(monkeypatch):
+    real_commute = finc.commute
+    seen = []
+
+    def counted(u, v):
+        seen.append(frozenset((finc.format_token(u), finc.format_token(v))))
+        return real_commute(u, v)
+
+    monkeypatch.setattr(finc, "commute", counted)
+    report = cli.suite_ia_axioms({"n": 6})
+    assert report.passed
+    commuting = next(c for c in report.checks if c.name == "disjoint-commuting")
+    assert commuting.detail["generator_pairs"] == 630
+    assert len(seen) == len(set(seen)) == 630
+
+
+def test_ia_axioms_pair_verdicts_match_per_subset_tables(monkeypatch):
+    real_commute = finc.commute
+    # M[1,2,3] comes after K[4,5] among the generators, but its support holds
+    # the smallest index, so every failing subset pair lists it first
+    broken = frozenset(("K[4,5]", "M[1,2,3]"))
+
+    def commute(u, v):
+        if frozenset((finc.format_token(u), finc.format_token(v))) == broken:
+            return False
+        return real_commute(u, v)
+
+    monkeypatch.setattr(finc, "commute", commute)
+    family = finc.FIncIA(6)
+    want = []
+    for left, right in cli._disjoint_subset_pairs(6):
+        wit = finc.check_commuting(family, left, right)
+        if not wit.ok:
+            want.append(
+                {"left": list(left), "right": list(right), "pairs": wit.counterexamples()}
+            )
+    assert {tuple(p) for f in want for p in f["pairs"]} == {("M[1,2,3]", "K[4,5]")}
+    # index 6 goes left, right or nowhere
+    assert len(want) == 3
+    checks = {c.name: c for c in cli.suite_ia_axioms({"n": 6}).checks}
+    commuting = checks["disjoint-commuting"]
+    assert not commuting.passed
+    assert commuting.detail["failures"] == want
+    assert commuting.detail["pairs"] == 301
+    # only {1, 2, 3} against {4, 5, 6} holds both supports
+    eii = checks["condition-eii"]
+    assert not eii.passed
+    assert eii.detail["by_m"] == {"1": True, "2": True, "3": False}
 
 
 def test_ia_axioms_functoriality_catches_rank_dependent_realization(monkeypatch):
@@ -397,3 +449,47 @@ def test_johnson_cost_guard(capsys, monkeypatch):
             assert "--force" in capsys.readouterr().err
             with pytest.raises(Started):
                 main(argv + ["--force"])
+
+
+def test_kneser_and_ia_axioms_cost_guards(capsys, monkeypatch):
+    forced = run_suite("kneser", {"max_n": 3, "max_m": 1, "force": True})
+    assert forced.parameters == {"max_n": 3, "max_m": 1}
+    forced = run_suite("ia-axioms", {"n": 2, "force": True})
+    assert forced.parameters == {"n": 2}
+
+    class Started(Exception):
+        pass
+
+    def work(*args):
+        raise Started
+
+    monkeypatch.setattr(graphs, "disjointness_connected", work)
+    monkeypatch.setattr(finc, "check_functoriality", work)
+    # neighbour visits, the sum of C(n, m) C(n - m, m): 112320 at the
+    # defaults, 7447020 at (16, 6), 20029400 at (17, 6), 51662558 at
+    # (18, 6); m = 1 alone passes 10 x bound near n = 670.  Subset
+    # assignments plus generator pairs, 3^n + (n^2(n-1)/2)^2: 8829 at n = 6,
+    # 543172 at n = 11, 1158705 at n = 12
+    cases = [
+        (["kneser"], True),
+        (["kneser", "--max-n", "16", "--max-m", "6"], True),
+        (["kneser", "--max-n", "17", "--max-m", "6"], False),
+        (["kneser", "--max-n", "18", "--max-m", "6"], False),
+        (["kneser", "--max-n", str(10**9), "--max-m", "1"], False),
+        (["ia-axioms"], True),
+        (["ia-axioms", "--n", "11"], True),
+        (["ia-axioms", "--n", "12"], False),
+        (["ia-axioms", "--n", str(10**6)], False),
+    ]
+    for argv, admitted in cases:
+        if admitted:
+            with pytest.raises(Started):
+                main(argv)
+        else:
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert "--force" in err, err
+            with pytest.raises(Started):
+                main(argv + ["--force"])
+    assert main(["kneser", "--max-n", str(10**9), "--max-m", "1"]) == 2
+    assert "estimates over 100000000 neighbour visits" in capsys.readouterr().err

@@ -19,6 +19,7 @@ from lcsforge.finc import (
     check_commuting,
     check_condition_eii,
     check_functoriality,
+    disjoint_pair_verdicts,
     enumerate_normal_generators,
     format_token,
     generation_degree_coverage,
@@ -89,11 +90,21 @@ def test_check_commuting_vacuous_and_errors():
 
 
 def test_condition_eii():
-    assert check_condition_eii(FIncIA(6), 3)
-    assert check_condition_eii(FIncIA(3), 2)  # vacuous: no disjoint pair fits
-    assert check_condition_eii(FIncIA(4), 2)
+    assert check_condition_eii(disjoint_pair_verdicts(FIncIA(6)), 3)
+    # vacuous: no disjoint pair fits
+    assert check_condition_eii(disjoint_pair_verdicts(FIncIA(3)), 2)
+    assert check_condition_eii(disjoint_pair_verdicts(FIncIA(4)), 2)
     with pytest.raises(ValueError):
-        check_condition_eii(FIncIA(3), 4)
+        check_condition_eii(disjoint_pair_verdicts(FIncIA(3)), 4)
+
+
+def test_disjoint_pair_verdicts_count_and_pass():
+    # unordered generator pairs with disjoint supports: 12 at n = 4 (the
+    # K[a,b] / K[c,d] pairs on complementary 2-sets), 630 at n = 6
+    for n, decided in [(1, 0), (3, 0), (4, 12), (6, 630)]:
+        got = disjoint_pair_verdicts(FIncIA(n))
+        assert (got.n, got.decided, got.failing) == (n, decided, ())
+        assert got.counterexamples((1,), (2,)) == []
 
 
 def test_generation_degree_coverage():

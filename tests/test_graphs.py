@@ -6,6 +6,7 @@ from lcsforge.autom import comm_move, conj, ia_word
 from lcsforge.finc import FIncIA, magnus_generators
 from lcsforge.graphs import (
     connectivity,
+    disjointness_connected,
     disjointness_graph,
     disjointness_path,
     expected_disjointness_connectivity,
@@ -75,6 +76,16 @@ def test_connectivity_truth_table():
                 assert truth and not law
             else:
                 assert truth == law, (n, m)
+
+
+def test_bfs_over_complements_matches_edge_list_graph():
+    for n in range(1, 13):
+        for m in range(1, n + 1):
+            want = is_connected(disjointness_graph(n, m))
+            assert disjointness_connected(n, m) == want, (n, m)
+    for n, m in [(0, 1), (3, 0), (3, 4)]:
+        with pytest.raises(ValueError):
+            disjointness_connected(n, m)
 
 
 def test_components_exactly_when_small():
