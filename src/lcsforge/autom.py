@@ -357,10 +357,25 @@ def parse_ia_word(text: str) -> IAWord:
 # General automorphisms with explicit inverses (lifts of matrix-group elements)
 
 
+def _letter_map(phi: FreeEndo) -> dict[int, int] | None:
+    """The letter map v -> phi(v) when phi sends every generator to one
+    signed letter, else None."""
+    letters = {}
+    for i in range(1, phi.rank + 1):
+        img = phi.image(i).letters
+        if len(img) != 1:
+            return None
+        letters[i], letters[-i] = img[0], -img[0]
+    return letters
+
+
 @dataclass(frozen=True)
 class AutWitness:
     """An automorphism bundled with its inverse; both directions are checked
-    on construction."""
+    on construction.  When both halves send every generator to one signed
+    letter, their letter maps are checked to invert each other, which is the
+    same as both compositions being the identity; otherwise both
+    compositions are built."""
 
     fwd: FreeEndo
     inv: FreeEndo
@@ -368,9 +383,18 @@ class AutWitness:
     def __post_init__(self) -> None:
         if self.fwd.rank != self.inv.rank:
             raise RankMismatch("witness halves have different ranks")
-        if not is_identity(compose(self.fwd, self.inv)) or not is_identity(
-            compose(self.inv, self.fwd)
-        ):
+        fwd_map = self._relabelling
+        inv_map = None if fwd_map is None else _letter_map(self.inv)
+        if inv_map is not None:
+            inverts = all(
+                fwd_map[inv_map[i]] == i and inv_map[fwd_map[i]] == i
+                for i in range(1, self.fwd.rank + 1)
+            )
+        else:
+            inverts = is_identity(compose(self.fwd, self.inv)) and is_identity(
+                compose(self.inv, self.fwd)
+            )
+        if not inverts:
             raise ValueError("inverse witness does not invert the automorphism")
 
     @cached_property
@@ -378,13 +402,7 @@ class AutWitness:
         """The letter map v -> fwd(v) when fwd sends every generator to one
         signed letter (a signed permutation, as fwd is invertible), else
         None."""
-        letters = {}
-        for i in range(1, self.fwd.rank + 1):
-            img = self.fwd.image(i).letters
-            if len(img) != 1:
-                return None
-            letters[i], letters[-i] = img[0], -img[0]
-        return letters
+        return _letter_map(self.fwd)
 
     def conj_endo(self, phi: FreeEndo) -> FreeEndo:
         """fwd . phi . fwd^-1 without an intermediate endomorphism.

@@ -502,15 +502,12 @@ def suite_johnson(params: dict) -> SuiteReport:
         }
 
     def run_equivariance(lifts):
-        bad = 0
-        total = 0
-        for lift in lifts:
-            total += len(pairs)
-            bad += johnson.equivariance_failures(lift, pairs)
+        total, bad, conjugates = johnson.equivariance_failures(lifts, pairs)
         return bad == 0, {
             "summary": f"{total} lift/generator pairs",
             "checks": total,
             "failures": bad,
+            "conjugates": conjugates,
         }
 
     def run_tilt():

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .autom import AutWitness, FreeEndo, abelianized_matrix
 
@@ -217,43 +217,77 @@ def mat_inverse_unimodular(m: IntMatrix) -> IntMatrix:
     return tuple(tuple(int(v) for v in row) for row in inverse)
 
 
+def _action(m: IntMatrix, minv: IntMatrix) -> Callable[[H1Vector], H1Vector]:
+    """The action of m on the dual-tensor-wedge model, as a function of the
+    vector: inverse transpose on the starred slot, wedge square of the
+    standard column action on the other.  The nonzero entries of m's columns
+    and of minv's rows are listed once, so a signed permutation costs one
+    product per coordinate.  e_b ^ e_c goes to the sum of m[i][b] m[j][c]
+    e_i ^ e_j over those entries; a term with i > j lands on the key (j, i)
+    with its sign flipped, and one with i == j vanishes."""
+    n = len(m)
+    cols = [()] + [
+        tuple((i, m[i - 1][b]) for i in range(1, n + 1) if m[i - 1][b])
+        for b in range(n)
+    ]
+    rows = [()] + [tuple((ap, x) for ap, x in enumerate(row, 1) if x) for row in minv]
+
+    def act(v: H1Vector) -> H1Vector:
+        if v.n != n:
+            raise ValueError("matrix size does not match vector rank")
+        out: dict[Key, Value] = {}
+        for (a, b, c), val in v.coords:
+            col_c = cols[c]
+            for ap, dual in rows[a]:
+                scale = val * dual
+                for i, x in cols[b]:
+                    for j, y in col_c:
+                        if i < j:
+                            k = (ap, i, j)
+                            out[k] = out.get(k, 0) + scale * x * y
+                        elif i > j:
+                            k = (ap, j, i)
+                            out[k] = out.get(k, 0) - scale * x * y
+        return h1_vector(n, out)
+
+    return act
+
+
 def glnz_action(m: IntMatrix, v: H1Vector, minv: IntMatrix) -> H1Vector:
-    """Representation on the dual-tensor-wedge model: inverse transpose on the
-    starred slot, wedge square of the standard column action on the other.
+    """Representation on the dual-tensor-wedge model (see ``_action``).
     ``minv`` is m's exact inverse, from a lift's inverse witness or from
     ``mat_inverse_unimodular``."""
-    n = v.n
-    if len(m) != n:
-        raise ValueError("matrix size does not match vector rank")
-    out: dict[Key, Value] = {}
-    for (a, b, c), val in v.coords:
-        for ap in range(1, n + 1):
-            dual = minv[a - 1][ap - 1]
-            if not dual:
-                continue
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    wedge = (
-                        m[i - 1][b - 1] * m[j - 1][c - 1]
-                        - m[j - 1][b - 1] * m[i - 1][c - 1]
-                    )
-                    if not wedge:
-                        continue
-                    k = (ap, i, j)
-                    out[k] = out.get(k, 0) + val * dual * wedge
-    return h1_vector(n, out)
+    return _action(m, minv)(v)
 
 
 def equivariance_failures(
-    lift: AutWitness, pairs: Iterable[tuple[FreeEndo, H1Vector]]
-) -> int:
-    """The number of ``(phi, tau(phi))`` pairs with tau(lift . phi . lift^-1)
-    != m . tau(phi), where m abelianizes ``lift.fwd``.  m's inverse is the
-    abelianization of ``lift.inv``: the witness checks both compositions on
-    construction, and abelianization is multiplicative."""
-    m = abelianized_matrix(lift.fwd)
-    minv = abelianized_matrix(lift.inv)
-    return sum(tau(lift.conj_endo(phi)) != glnz_action(m, t, minv) for phi, t in pairs)
+    lifts: Iterable[AutWitness], pairs: Sequence[tuple[FreeEndo, H1Vector]]
+) -> tuple[int, int, int]:
+    """Checks tau(lift . phi . lift^-1) == m . tau(phi) for every lift and
+    every ``(phi, tau(phi))`` pair, where m abelianizes ``lift.fwd``, and
+    returns the number of (lift, pair) checks, the number that fail and the
+    number of distinct conjugates whose tau was computed.  m's inverse is
+    the abelianization of ``lift.inv``: the witness checks on construction
+    that ``lift.inv`` inverts ``lift.fwd``, and abelianization is
+    multiplicative.  The action kernel is built once per lift, and the lifts
+    are read one at a time, so a generator of lifts is never held whole.
+
+    tau runs once per distinct conjugate.  Equal endomorphisms are equal
+    objects (images reduced and sorted, fixed generators dropped), so the
+    memo, local to this call, returns exactly what tau would; every pair is
+    still conjugated, acted on and counted on its own."""
+    taus: dict[FreeEndo, H1Vector] = {}
+    checks = failures = 0
+    for lift in lifts:
+        act = _action(abelianized_matrix(lift.fwd), abelianized_matrix(lift.inv))
+        checks += len(pairs)
+        for phi, t in pairs:
+            conj = lift.conj_endo(phi)
+            lhs = taus.get(conj)
+            if lhs is None:
+                lhs = taus[conj] = tau(conj)
+            failures += lhs != act(t)
+    return checks, failures, len(taus)
 
 
 def subspace_image_basis(index_set: Iterable[int], n: int) -> list[H1Vector]:

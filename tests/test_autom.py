@@ -1,7 +1,7 @@
 import pickle
 import random
 import re
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -31,7 +31,7 @@ from lcsforge.autom import (
     transvection_lift,
 )
 from lcsforge.finc import FIncIA, check_functoriality
-from lcsforge.words import EPSILON, Word, concat, parse_word, reduce_letters, word
+from lcsforge.words import EPSILON, Word, concat, invert, parse_word, reduce_letters, word
 
 
 def all_magnus_tokens(n):
@@ -356,6 +356,50 @@ def test_aut_witness_validates():
         )
     lift = transvection_lift(3, 1, 2)
     assert is_identity(compose(lift.fwd, lift.inv))
+
+
+def test_signed_permutation_witnesses_checked_letter_by_letter(monkeypatch):
+    """Every signed-permutation lift at n = 4, and seeded ones at n = 2-6, is
+    accepted by the letter-map check with nothing composed, and by the two
+    compositions with the relabelling hidden.  Both routes reject an inverse
+    with one image's sign flipped or two images swapped; a witness with a
+    longer image in either half is still checked by composing."""
+    rng = random.Random(88)
+    cases = [
+        (4, perm, signs)
+        for perm in permutations(range(1, 5))
+        for signs in product((1, -1), repeat=4)
+    ]
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        cases.append((n, rng.sample(range(1, n + 1), n), [rng.choice((1, -1)) for _ in range(n)]))
+    composed = []
+    real = autom.compose
+    monkeypatch.setattr(autom, "compose", lambda *args: composed.append(args) or real(*args))
+    for hidden in (False, True):
+        with monkeypatch.context() as m:
+            if hidden:
+                m.setattr(AutWitness, "_relabelling", property(lambda self: None))
+            for n, perm, signs in cases:
+                lift = signed_permutation_lift(n, perm, signs)
+                assert bool(composed) == hidden
+                images = {j: lift.inv.image(j) for j in range(1, n + 1)}
+                j, k = rng.sample(range(1, n + 1), 2)
+                flipped = {**images, j: invert(images[j])}
+                swapped = {**images, j: images[k], k: images[j]}
+                for bad in (flipped, swapped):
+                    composed.clear()
+                    with pytest.raises(ValueError):
+                        AutWitness(lift.fwd, free_endo(n, bad))
+                    assert bool(composed) == hidden
+                composed.clear()
+    sp = signed_permutation_lift(3, (2, 3, 1), (1, -1, 1))
+    tv = transvection_lift(3, 1, 2)
+    for fwd, inv in ((sp.fwd, tv.fwd), (tv.fwd, sp.inv)):
+        with pytest.raises(ValueError):
+            AutWitness(fwd, inv)
+        assert composed
+        composed.clear()
 
 
 def test_lift_constructors():

@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from lcsforge import autom, bns, cli, finc, graphs, magnus
+from lcsforge import autom, bns, cli, finc, graphs, johnson, magnus
 from lcsforge.cli import _build_parser, main, run_suite
 from lcsforge.words import Word
 
@@ -124,6 +124,39 @@ def test_johnson_suite_small():
     assert report.passed, [
         (c.name, c.detail) for c in report.checks if not c.passed
     ]
+    detail = {c.name: c.detail for c in report.checks}
+    assert detail["equivariance-signed-perms"]["checks"] == 432
+    assert detail["equivariance-signed-perms"]["conjugates"] == 60
+    assert detail["equivariance-transvections"]["checks"] == 108
+    assert detail["equivariance-transvections"]["conjugates"] == 81
+
+
+def test_johnson_equivariance_computes_tau_once_per_conjugate(monkeypatch):
+    """In one n = 4 suite run the two equivariance checks call tau 216 and
+    378 times, once per distinct conjugate, for 9216 and 576 pairs."""
+    calls = []
+    tau = johnson.tau
+    monkeypatch.setattr(johnson, "tau", lambda phi: calls.append(phi) or tau(phi))
+    per_check = []
+    failures = johnson.equivariance_failures
+
+    def counted(lifts, pairs):
+        before = len(calls)
+        out = failures(lifts, pairs)
+        per_check.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(johnson, "equivariance_failures", counted)
+    report = run_suite("johnson", {"n": 4, "budget": 1, "seed": 0})
+    detail = {c.name: c.detail for c in report.checks}
+    assert per_check == [216, 378]
+    for name, checks, conjugates in (
+        ("equivariance-signed-perms", 9216, 216),
+        ("equivariance-transvections", 576, 378),
+    ):
+        assert detail[name]["checks"] == checks
+        assert detail[name]["failures"] == 0
+        assert detail[name]["conjugates"] == conjugates
 
 
 def test_normal_gens_suite():

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import pytest
 
-from lcsforge import autom
+from lcsforge import autom, johnson
 from lcsforge.autom import (
     AutWitness,
     RankMismatch,
@@ -301,15 +302,44 @@ def glnz_action_by_fractions(m, v):
     return h1_vector(n, out)
 
 
+def random_fraction_h1_vector(rng, n):
+    return h1_vector(
+        n,
+        {k: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+         for k in h1_basis_keys(n) if rng.random() < 0.5},
+    )
+
+
 def test_glnz_action_matches_fraction_route():
+    """The action kernel, built once per matrix as the equivariance checks
+    build it, against the Fraction route and through ``glnz_action``: on
+    every signed permutation and transvection at n = 3 and 4, with the
+    inverse from the lift's inverse witness, on a dense and a basis vector
+    each; and on seeded products of elementary matrices at n = 2-5, on an
+    integer vector, which stays integral, and one with Fraction
+    coordinates."""
     rng = random.Random(85)
+    cases = []
+    for n in (3, 4):
+        keys = h1_basis_keys(n)
+        for lift in signed_permutation_lifts(n) + transvection_lifts(n):
+            dense = h1_vector(n, {k: rng.randint(1, 9) * rng.choice((1, -1)) for k in keys})
+            basis = h1_vector(n, {rng.choice(keys): 1})
+            m = abelianized_matrix(lift.fwd)
+            cases.append((m, abelianized_matrix(lift.inv), [dense, basis]))
     for n in range(2, 6):
         for _ in range(30):
             m = random_unimodular(rng, n, 6)
-            v = random_h1_vector(rng, n, 5)
-            moved = act(m, v)
+            vectors = [random_h1_vector(rng, n, 5), random_fraction_h1_vector(rng, n)]
+            cases.append((m, mat_inverse_unimodular(m), vectors))
+    for m, minv, vectors in cases:
+        kernel = johnson._action(m, minv)
+        for v in vectors:
+            moved = kernel(v)
             assert moved == glnz_action_by_fractions(m, v)
-            assert all(type(x) is int for _, x in moved.coords)
+            assert moved == glnz_action(m, v, minv)
+            if all(type(x) is int for _, x in v.coords):
+                assert all(type(x) is int for _, x in moved.coords)
 
 
 def test_glnz_rejects_singular():
@@ -358,19 +388,24 @@ def test_lift_inverse_matrix_matches_elimination():
 def test_equivariance_inner():
     lift = inner_lift(3, word([1]))
     assert abelianized_matrix(lift.fwd) == mat_identity(3)
-    assert equivariance_failures(lift, generator_pairs(3)) == 0
+    # conjugation by one lift is injective: 9 generators, 9 conjugates
+    assert equivariance_failures([lift], generator_pairs(3)) == (9, 0, 9)
 
 
 def test_equivariance_signed_permutations_n3():
     pairs = generator_pairs(3)
-    for lift in signed_permutation_lifts(3):
-        assert equivariance_failures(lift, pairs) == 0
+    lifts = signed_permutation_lifts(3)
+    assert equivariance_failures(lifts, pairs) == (432, 0, 60)
+    for lift in lifts:
+        assert equivariance_failures([lift], pairs) == (9, 0, 9)
 
 
 def test_equivariance_transvections_n3():
     pairs = generator_pairs(3)
-    for lift in transvection_lifts(3):
-        assert equivariance_failures(lift, pairs) == 0
+    lifts = transvection_lifts(3)
+    assert equivariance_failures(lifts, pairs) == (108, 0, 81)
+    for lift in lifts:
+        assert equivariance_failures([lift], pairs) == (9, 0, 9)
 
 
 def test_equivariance_counts_a_swapped_tau():
@@ -378,8 +413,42 @@ def test_equivariance_counts_a_swapped_tau():
     # pair carrying another generator's tau fails under every lift
     pairs = generator_pairs(3)
     swapped = [(pairs[0][0], pairs[1][1])] + pairs[1:]
-    for lift in signed_permutation_lifts(3) + transvection_lifts(3):
-        assert equivariance_failures(lift, swapped) == 1
+    lifts = signed_permutation_lifts(3) + transvection_lifts(3)
+    for lift in lifts:
+        assert equivariance_failures([lift], swapped) == (9, 1, 9)
+    assert equivariance_failures(lifts, swapped)[1] == len(lifts)
+
+
+def test_equivariance_memo_counts_every_pair_of_a_wrong_conjugate(monkeypatch):
+    """With tau wrong on exactly one conjugate, every (lift, generator) pair
+    whose conjugate equals it fails, as many as the per-pair route of C5
+    counts, although the memo computes tau for that conjugate once."""
+    n = 3
+    pairs = generator_pairs(n)
+    lifts = signed_permutation_lifts(n) + transvection_lifts(n)
+    conjugates = Counter(lift.conj_endo(phi) for lift in lifts for phi, _ in pairs)
+    target, hits = conjugates.most_common(1)[0]
+    assert hits > 1
+    real = johnson.tau
+    wrong = h1_add(real(target), h1_vector(n, {(1, 1, 2): 1}))
+    calls = Counter()
+
+    def patched(phi):
+        calls[phi] += 1
+        return wrong if phi == target else real(phi)
+
+    monkeypatch.setattr(johnson, "tau", patched)
+    per_pair = 0
+    for lift in lifts:
+        m = abelianized_matrix(lift.fwd)
+        minv = mat_inverse_unimodular(m)
+        per_pair += sum(
+            johnson.tau(lift.conj_endo(phi)) != glnz_action(m, t, minv) for phi, t in pairs
+        )
+    assert per_pair == hits
+    calls.clear()
+    assert equivariance_failures(iter(lifts), pairs) == (540, hits, len(conjugates))
+    assert calls == Counter(set(conjugates))
 
 
 def test_subspace_image_basis_sizes():

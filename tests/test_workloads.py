@@ -7,6 +7,7 @@ The module is loaded from its source without writing anything under
 ``perfbench/``.  The ``k2`` filtration call is left out: C3 runs the same
 work.  ``ia-axioms`` is kept although C2 runs it too, since C2 asserts only
 that no check fails, not the ``chains`` and ``pairs`` counts pinned here.
+``johnson-model`` runs at four of its pinned suite seeds.
 """
 
 import json
@@ -18,6 +19,9 @@ from lcsforge import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SEED = 1
+# johnson-model at further pinned suite seeds (seed mod 64), so the suite is
+# checked against its pins on more than one seeded sample
+JOHNSON_SEEDS = (SEED, 0, 7, 63)
 
 
 def load_workloads(monkeypatch):
@@ -35,11 +39,12 @@ def test_benchmark_calls_match_expected(tmp_path, monkeypatch):
     calls = [
         ("filtration", call) for call in workloads.FILTRATION if call.key == "k3"
     ]
-    for workload in ("kmm-sweep", "johnson-model"):
-        made = workloads.make_calls(workload, SEED, tmp_path / workload)
-        calls += [(workload, call) for call in made]
+    for workload, seeds in (("kmm-sweep", [SEED]), ("johnson-model", JOHNSON_SEEDS)):
+        for seed in seeds:
+            made = workloads.make_calls(workload, seed, tmp_path / workload)
+            calls += [(workload, call) for call in made]
     calls += [("axioms", call) for call in workloads.AXIOMS]
-    assert len(calls) == 1 + workloads.GRAPH_SAMPLE + 1 + 2
+    assert len(calls) == 1 + workloads.GRAPH_SAMPLE + len(JOHNSON_SEEDS) + 2
     for workload, call in calls:
         got = workloads.summarize(cli.run_suite(call.suite, dict(call.params)))
         assert got == expected[workload][call.key], (workload, call.key)
