@@ -169,8 +169,8 @@ class IAGenerator:
 
     ``indices`` and the image letters are computed once, on construction,
     and the inverse once, on first use; the inverse's inverse is this
-    object.  They are not fields: equality, hash and pickling see only the
-    five fields, and unpickling constructs (and validates) afresh."""
+    object.  They are not fields: equality and hash see only the five
+    fields."""
 
     kind: str
     a: int
@@ -204,9 +204,6 @@ class IAGenerator:
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "_image", image)
         object.__setattr__(self, "_inverse", None)
-
-    def __reduce__(self):
-        return IAGenerator, (self.kind, self.a, self.b, self.c, self.sign)
 
     def image_letters(self) -> tuple[int, ...]:
         """The letters of the image of x_a, the one generator moved:
@@ -242,9 +239,8 @@ def comm_move(a: int, b: int, c: int, sign: int = 1) -> IAGenerator:
 @dataclass(frozen=True)
 class IAWord:
     """A word in signed Magnus generators, the invertibility witness of its
-    realized endomorphism, which is built in one substitution pass.  The
-    realization is cached but not pickled: unpickling constructs (and
-    validates) the word from its two fields."""
+    realized endomorphism, which is built in one substitution pass and
+    cached."""
 
     rank: int
     gens: tuple[IAGenerator, ...] = ()
@@ -253,9 +249,6 @@ class IAWord:
         for g in self.gens:
             if any(i > self.rank for i in g.indices):
                 raise ValueError(f"generator {g.token()} exceeds rank {self.rank}")
-
-    def __reduce__(self):
-        return IAWord, (self.rank, self.gens)
 
     @cached_property
     def realized(self) -> FreeEndo:

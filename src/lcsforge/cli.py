@@ -553,20 +553,6 @@ def suite_johnson(params: dict) -> SuiteReport:
 # normal-gens
 
 
-def _levels_chunk(args):
-    """The chunk's exceptions, the elements below level k, as report entries."""
-    items, k, n = args
-    out = []
-    for w in items:
-        # a level below k is a depth d <= k, which shows at every cutoff >= d:
-        # cutoff max(k, 2) decides the verdict and every reported level
-        level = magnus.johnson_level(w, max(k, 2))
-        if level is not None and level < k:
-            completion = list(finc.support_completion(w, k, n))
-            out.append({"element": finc.format_token(w), "completion": completion, "level": level})
-    return out
-
-
 def suite_normal_gens(params: dict) -> SuiteReport:
     report = SuiteReport("normal-gens", dict(params))
     k = params["k"]
@@ -574,21 +560,20 @@ def suite_normal_gens(params: dict) -> SuiteReport:
         raise ValueError(f"normal-gens needs k >= 1, got {k}")
     n = params["n"] if params.get("n") else finc.GENERATION_DEGREE * k
     budget = params.get("budget")
-    jobs = params.get("jobs") or 1
     family = finc.FIncIA(n)
 
     def run():
         generators = finc.enumerate_normal_generators(family, k, budget)
-        if jobs > 1 and len(generators) > 8:
-            # the only import the serial route never needs
-            from multiprocessing import Pool
-
-            chunks = [(generators[i::jobs], k, n) for i in range(jobs)]
-            with Pool(jobs) as pool:
-                parts = pool.map(_levels_chunk, chunks)
-            exceptions = [e for part in parts for e in part]
-        else:
-            exceptions = _levels_chunk((generators, k, n))
+        exceptions = []
+        for w in generators:
+            # a level below k is a depth d <= k, which shows at every cutoff >= d:
+            # cutoff max(k, 2) decides the verdict and every reported level
+            level = magnus.johnson_level(w, max(k, 2))
+            if level is not None and level < k:
+                completion = list(finc.support_completion(w, k, n))
+                exceptions.append(
+                    {"element": finc.format_token(w), "completion": completion, "level": level}
+                )
         exceptions.sort(key=lambda e: e["element"])
         return not exceptions, {
             "summary": (
@@ -620,15 +605,6 @@ def run_suite(name: str, params: dict) -> SuiteReport:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     return SUITES[name](params)
-
-
-def _jobs(text: str) -> int:
-    """A worker count between 1 and the number of CPUs."""
-    jobs = int(text)
-    limit = os.cpu_count() or 1
-    if not 1 <= jobs <= limit:
-        raise argparse.ArgumentTypeError(f"must be between 1 and {limit}, got {jobs}")
-    return jobs
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -668,7 +644,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, default=0, help="ambient rank (default 3k)")
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--jobs", type=_jobs, default=1, help="worker processes (1 to CPU count)")
 
     return parser
 

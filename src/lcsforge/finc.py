@@ -274,7 +274,9 @@ def enumerate_normal_generators(
 ) -> list[IAWord]:
     """Deduplicated left-normed length-k commutators of Magnus generators.
     Identity realizations are dropped; within a budget smaller than the
-    |S|^k tuple space, tuples are stride-sampled in lexicographic order."""
+    |S|^k tuple space, tuples are stride-sampled in lexicographic order.
+    The words are returned unrealized: the realizations that decide identity
+    and duplicates are not kept."""
     if k < 1:
         raise ValueError("k must be >= 1")
     size = GENERATION_DEGREE * k
@@ -288,7 +290,7 @@ def enumerate_normal_generators(
     cap = DEFAULT_TUPLE_BUDGET if budget is None else budget
     step = 1 if total <= cap else -(-total // cap)  # ceil division
 
-    found = {}  # realized endomorphism -> word, in sampling order
+    found = {}  # realized endomorphism -> generator tuple, in sampling order
     for flat in range(0, total, step):
         digits = []
         rem = flat
@@ -300,5 +302,5 @@ def enumerate_normal_generators(
         endo = w.realized
         if is_identity(endo) or endo in found:
             continue
-        found[endo] = w
-    return list(found.values())
+        found[endo] = w.gens
+    return [IAWord(family.n, gens) for gens in found.values()]

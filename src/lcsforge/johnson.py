@@ -318,9 +318,6 @@ class TiltResult:
     matrix: IntMatrix | None = None
     examined: int = 0
 
-    def move_tokens(self) -> list[str]:
-        return [f"E[{i},{j},{'+' if s > 0 else '-'}]" for i, j, s in self.moves]
-
 
 def _pullback_coord(
     key: Key,

@@ -111,9 +111,7 @@ def test_c3_filtration_containment():
     start = time.perf_counter()
     summaries = []
     for k, budget in ((1, None), (2, 8100), (3, None)):
-        report = cli.suite_normal_gens(
-            {"k": k, "n": 3 * k, "budget": budget, "jobs": 2}
-        )
+        report = cli.suite_normal_gens({"k": k, "n": 3 * k, "budget": budget})
         detail = report.checks[0].detail
         summaries.append(
             f"k={k}: {detail['elements']} elements, "

@@ -1,4 +1,3 @@
-import pickle
 import random
 import re
 from itertools import combinations, permutations, product
@@ -318,18 +317,6 @@ def test_ia_word_serialization_roundtrip_seeded():
     assert "n=1:" in texts and "n=12:" in texts
     assert any(re.search(r"K\[\d\d,\d\d\]'", t) for t in texts)
     assert any(re.search(r"M\[\d+,\d+,\d\d\]'", t) for t in texts)
-
-
-def test_ia_word_pickle_drops_realization():
-    rng = random.Random(87)
-    for n in range(2, 8):
-        for _ in range(20):
-            w = random_ia(rng, n, 6)
-            realized = w.realized
-            back = pickle.loads(pickle.dumps(w))
-            assert back == w and hash(back) == hash(w)
-            assert "realized" not in back.__dict__
-            assert back.realized == realized
 
 
 def test_parse_ia_word_rejects_garbage():

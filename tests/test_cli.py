@@ -1,12 +1,11 @@
 import gc
 import json
-import os
 import warnings
 
 import pytest
 
 from lcsforge import autom, bns, cli, finc, graphs, johnson, magnus
-from lcsforge.cli import _build_parser, main, run_suite
+from lcsforge.cli import main, run_suite
 from lcsforge.words import Word
 
 
@@ -160,21 +159,9 @@ def test_johnson_equivariance_computes_tau_once_per_conjugate(monkeypatch):
 
 
 def test_normal_gens_suite():
-    report = run_suite("normal-gens", {"k": 1, "n": 3, "budget": None, "jobs": 1})
+    report = run_suite("normal-gens", {"k": 1, "n": 3, "budget": None})
     assert report.passed
     assert report.checks[0].detail["elements"] == 9
-
-
-def test_normal_gens_sharded_matches_serial():
-    for k, n, budget in ((2, 6, 120), (3, 9, 200)):
-        params = {"k": k, "n": n, "budget": budget}
-        serial = run_suite("normal-gens", {**params, "jobs": 1})
-        sharded = run_suite("normal-gens", {**params, "jobs": 2})
-        assert serial.passed and sharded.passed
-        assert serial.checks[0].detail["elements"] > 8, k
-        a, b = strip_times(serial.to_json()), strip_times(sharded.to_json())
-        assert (a["parameters"].pop("jobs"), b["parameters"].pop("jobs")) == (1, 2)
-        assert a == b
 
 
 def test_normal_gens_exceptions(monkeypatch):
@@ -193,7 +180,7 @@ def test_normal_gens_exceptions(monkeypatch):
         levels = {t: magnus.johnson_level(w, k + 2) for t, w in words.items()}
         below = sorted(t for t, level in levels.items() if level is not None and level < k)
         assert len(below) == failing, k
-        report = run_suite("normal-gens", {"k": k, "n": n, "budget": None, "jobs": 1})
+        report = run_suite("normal-gens", {"k": k, "n": n, "budget": None})
         detail = report.checks[0].detail
         assert not report.passed
         assert detail["elements"] == len(elements)
@@ -306,14 +293,15 @@ def test_normal_gens_k_below_one_refused(capsys, monkeypatch):
 
 
 def test_normal_gens_has_no_cutoff(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["normal-gens", "--k", "1", "--cutoff", "4"])
-    assert exc.value.code == 2
-    assert "--cutoff" in capsys.readouterr().err
+    for option, value in (("--cutoff", "4"), ("--jobs", "2")):
+        with pytest.raises(SystemExit) as exc:
+            main(["normal-gens", "--k", "1", option, value])
+        assert exc.value.code == 2
+        assert option in capsys.readouterr().err
     path = tmp_path / "report.json"
     assert main(["normal-gens", "--k", "1", "--json", str(path)]) == 0
     report = json.loads(path.read_text())
-    assert report["parameters"] == {"budget": None, "jobs": 1, "k": 1, "n": 0}
+    assert report["parameters"] == {"budget": None, "k": 1, "n": 0}
     assert "cutoff" not in report["checks"][0]["detail"]["summary"]
 
 
@@ -369,18 +357,6 @@ def test_ia_axioms_trivial_rank(tmp_path):
     checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
     assert checks["coverage-degree"]["detail"]["expected"] == 0
     assert checks["coverage-degree"]["detail"]["degree"] == 0
-
-
-def test_jobs_range_checked_at_parsing(capsys):
-    cpus = os.cpu_count() or 1
-    for jobs in ("0", "-3", str(cpus + 1), "100000", "two"):
-        with pytest.raises(SystemExit) as exc:
-            _build_parser().parse_args(["normal-gens", "--k", "1", "--jobs", jobs])
-        assert exc.value.code == 2
-    assert "--jobs" in capsys.readouterr().err
-    for jobs in (1, cpus):
-        args = _build_parser().parse_args(["normal-gens", "--k", "1", "--jobs", str(jobs)])
-        assert args.jobs == jobs
 
 
 def test_json_report_deterministic(tmp_path):

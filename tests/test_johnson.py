@@ -530,12 +530,6 @@ def test_tilt_rejects_zero():
         tilt_search(h1_functional(4, {}), 4, 3, 2)
 
 
-def test_tilt_move_tokens():
-    lam = h1_functional(4, {(4, 1, 2): 1})
-    res = tilt_search(lam, 4, 3, 3)
-    assert all(tok.startswith("E[") for tok in res.move_tokens())
-
-
 def test_rational_rank_basics():
     assert rational_rank([[1, 0], [0, 1]]) == 2
     assert rational_rank([[1, 2], [2, 4]]) == 1

@@ -32,7 +32,7 @@ def test_tracer_fits_every_suite(tmp_path):
         ("ia-axioms", {"n": 3}),
         ("kmm-raag", {"graph": str(graph)}),
         ("johnson", {"n": 2, "budget": 1, "seed": 0}),
-        ("normal-gens", {"k": 1, "n": 3, "budget": None, "jobs": 1}),
+        ("normal-gens", {"k": 1, "n": 3, "budget": None}),
     ]
     run_suite = cli.run_suite
     spans = tracer.Tracer(modules)
