@@ -11,6 +11,10 @@ Magnus generator conventions (fixed once for the whole artifact):
 
 * ``K[a,b]``  (conjugation move): ``x_a -> x_b x_a x_b^-1``
 * ``M[a,b,c]`` (commutator move, ``b < c``): ``x_a -> x_a [x_b, x_c]``
+
+``FreeEndo(...)``, ``free_endo``, ``IAWord(...)``, ``ia_word``, ``parse_ia_word``
+and the lifts validate; ``FreeEndo._of`` and ``IAWord._of`` do not, and only
+kernels whose result holds the invariants by construction use them.
 """
 
 from __future__ import annotations
@@ -76,6 +80,14 @@ class FreeEndo:
             if img.letters == (i,):
                 raise ValueError("fixed images must be omitted; use free_endo()")
 
+    @classmethod
+    def _of(cls, rank: int, images: Mapping[int, Word]) -> "FreeEndo":
+        """``free_endo`` unchecked: every index and image is within the rank."""
+        phi = object.__new__(cls)
+        object.__setattr__(phi, "rank", rank)
+        object.__setattr__(phi, "images", _moved(images))
+        return phi
+
     @cached_property
     def _imap(self) -> dict[int, Word]:
         return dict(self.images)
@@ -90,12 +102,16 @@ class FreeEndo:
         return tuple(i for i, _ in self.images)
 
 
-def free_endo(rank: int, images: Mapping[int, Word]) -> FreeEndo:
-    """Build an endomorphism, dropping entries that fix their generator."""
-    kept = tuple(
+def _moved(images: Mapping[int, Word]) -> tuple[tuple[int, Word], ...]:
+    """The entries that move their generator, sorted by index."""
+    return tuple(
         (i, img) for i, img in sorted(images.items()) if img.letters != (i,)
     )
-    return FreeEndo(rank, kept)
+
+
+def free_endo(rank: int, images: Mapping[int, Word]) -> FreeEndo:
+    """Build an endomorphism, dropping entries that fix their generator."""
+    return FreeEndo(rank, _moved(images))
 
 
 def identity_endo(rank: int) -> FreeEndo:
@@ -104,7 +120,7 @@ def identity_endo(rank: int) -> FreeEndo:
 
 def _substitute(imap: Mapping[int, Word], rank: int, letters: Iterable[int]) -> Word:
     """Substitute the images in imap (absent indices are fixed) through the
-    letters and reduce."""
+    letters, each checked against the rank, and reduce; imap holds in-rank words."""
     pieces: list[Iterable[int]] = []
     for v in letters:
         i = abs(v)
@@ -115,7 +131,7 @@ def _substitute(imap: Mapping[int, Word], rank: int, letters: Iterable[int]) -> 
             pieces.append((v,))
         else:
             pieces.append(img.letters if v > 0 else [-u for u in reversed(img.letters)])
-    return Word(_reduce(pieces))
+    return Word._of(_reduce(pieces))
 
 
 def apply(phi: FreeEndo, w: Word) -> Word:
@@ -124,13 +140,13 @@ def apply(phi: FreeEndo, w: Word) -> Word:
 
 
 def compose(phi: FreeEndo, psi: FreeEndo) -> FreeEndo:
-    """(phi . psi)(x) = phi(psi(x))."""
+    """(phi . psi)(x) = phi(psi(x)), of one rank, so every image is within it."""
     if phi.rank != psi.rank:
         raise RankMismatch(f"ranks differ: {phi.rank} vs {psi.rank}")
     # psi fixes every other x_i, which phi sends to its stored image
     images = dict(phi.images)
     images.update((i, apply(phi, img)) for i, img in psi.images)
-    return free_endo(phi.rank, images)
+    return FreeEndo._of(phi.rank, images)
 
 
 def is_identity(phi: FreeEndo) -> bool:
@@ -250,6 +266,14 @@ class IAWord:
             if any(i > self.rank for i in g.indices):
                 raise ValueError(f"generator {g.token()} exceeds rank {self.rank}")
 
+    @classmethod
+    def _of(cls, rank: int, gens: tuple[IAGenerator, ...]) -> "IAWord":
+        """Unchecked: ``realized`` still checks every index against the rank."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "rank", rank)
+        object.__setattr__(w, "gens", gens)
+        return w
+
     @cached_property
     def realized(self) -> FreeEndo:
         # (g1 g2)(x) = g1(g2(x)) and g moves only x_a: folding left to right,
@@ -257,7 +281,7 @@ class IAWord:
         images: dict[int, Word] = {}
         for g in self.gens:
             images[g.a] = _substitute(images, self.rank, g.image_letters())
-        return free_endo(self.rank, images)
+        return FreeEndo._of(self.rank, images)
 
     def ia_support(self) -> frozenset[int]:
         out: frozenset[int] = frozenset()
@@ -405,7 +429,7 @@ class AutWitness:
         inverted when t is an inverse letter.  Relabelling and inverting keep
         a word reduced, so nothing is substituted or reduced again.
         Otherwise x_i goes to (fwd . phi)(inv(x_i)), substituted through one
-        image map of fwd . phi.  Either way only the result is validated."""
+        image map of fwd . phi.  Either way the result is built unchecked."""
         rank = self.fwd.rank
         if phi.rank != rank:
             raise RankMismatch(f"ranks differ: {phi.rank} vs {rank}")
@@ -416,10 +440,10 @@ class AutWitness:
             for i, img in phi.images:
                 t = relabel[i]
                 if t > 0:
-                    images[t] = Word(tuple([relabel[v] for v in img.letters]))
+                    images[t] = Word._of(tuple([relabel[v] for v in img.letters]))
                 else:
-                    images[-t] = Word(tuple([relabel[-v] for v in reversed(img.letters)]))
-            return free_endo(rank, images)
+                    images[-t] = Word._of(tuple([relabel[-v] for v in reversed(img.letters)]))
+            return FreeEndo._of(rank, images)
         # fwd . phi on the generators: phi fixes every other x_j
         outer = dict(self.fwd.images)
         outer.update(
@@ -429,7 +453,7 @@ class AutWitness:
         images.update(
             (i, _substitute(outer, rank, img.letters)) for i, img in self.inv.images
         )
-        return free_endo(rank, images)
+        return FreeEndo._of(rank, images)
 
 
 def inner_lift(rank: int, w: Word) -> AutWitness:

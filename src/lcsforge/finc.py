@@ -240,15 +240,15 @@ def generation_degree_coverage(family: FIncIA) -> int:
 
 
 def left_normed_commutator(factors: list[IAWord]) -> IAWord:
-    """[s1, [s2, ... [s_{k-1}, s_k]]] as a generator word: one generator
-    tuple, folded from the inside out, and one validated ``IAWord``."""
+    """[s1, [s2, ... [s_{k-1}, s_k]]] as one generator tuple, folded from the
+    inside out; the factors are validated and of one rank, so it is unchecked."""
     ranks = {s.rank for s in factors}
     if len(ranks) > 1:
         raise RankMismatch(f"ranks differ: {sorted(ranks)}")
     out = factors[-1].gens
     for s in reversed(factors[:-1]):
         out = s.gens + out + _inverse_gens(s.gens) + _inverse_gens(out)
-    return IAWord(factors[-1].rank, out)
+    return IAWord._of(factors[-1].rank, out)
 
 
 def support_completion(w: IAWord, k: int, n: int) -> tuple[int, ...]:
@@ -275,8 +275,8 @@ def enumerate_normal_generators(
     """Deduplicated left-normed length-k commutators of Magnus generators.
     Identity realizations are dropped; within a budget smaller than the
     |S|^k tuple space, tuples are stride-sampled in lexicographic order.
-    The words are returned unrealized: the realizations that decide identity
-    and duplicates are not kept."""
+    The words, of rank-n Magnus generators, are built unchecked and returned
+    unrealized; the realizations deciding identity and duplicates are dropped."""
     if k < 1:
         raise ValueError("k must be >= 1")
     size = GENERATION_DEGREE * k
@@ -303,4 +303,4 @@ def enumerate_normal_generators(
         if is_identity(endo) or endo in found:
             continue
         found[endo] = w.gens
-    return [IAWord(family.n, gens) for gens in found.values()]
+    return [IAWord._of(family.n, gens) for gens in found.values()]

@@ -4,6 +4,9 @@ A letter is a signed integer: ``+i`` is the generator ``x_i`` (``i >= 1``)
 and ``-i`` is its inverse.  Every ``Word`` is stored freely reduced, so group
 equality is plain tuple equality.  The commutator convention throughout is
 ``[a, b] = a b a^-1 b^-1``.
+
+``Word(...)``, ``word`` and ``parse_word`` validate; ``Word._of`` does not,
+and only kernels whose result is reduced by construction use it.
 """
 
 from __future__ import annotations
@@ -81,6 +84,13 @@ class Word:
         if any(v == 0 for v in self.letters):
             raise ValueError("0 is not a valid signed letter")
 
+    @classmethod
+    def _of(cls, letters: tuple[int, ...]) -> "Word":
+        """Unchecked: the caller guarantees nonzero, freely reduced letters."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        return w
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -95,16 +105,19 @@ EPSILON = Word()
 
 
 def word(letters: Iterable[Letter]) -> Word:
-    """Reduce an arbitrary letter sequence into a Word."""
-    return Word(reduce_letters(letters))
+    """Reduce an arbitrary letter sequence into a Word; ``_encode`` rejects
+    zero letters and ``_reduce`` leaves no adjacent inverse pair."""
+    return Word._of(reduce_letters(letters))
 
 
 def concat(*words: Word) -> Word:
-    return Word(_reduce(w.letters for w in words))
+    """The product; free reduction of nonzero letters stays nonzero."""
+    return Word._of(_reduce(w.letters for w in words))
 
 
 def invert(u: Word) -> Word:
-    return Word(tuple(-v for v in reversed(u.letters)))
+    """The inverse; reversing and negating a reduced word keeps it reduced."""
+    return Word._of(tuple(-v for v in reversed(u.letters)))
 
 
 def commutator(u: Word, v: Word) -> Word:

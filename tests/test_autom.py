@@ -326,6 +326,52 @@ def test_parse_ia_word_rejects_garbage():
         parse_ia_word("n=3:Q[1,2]")
 
 
+def test_free_endo_constructors_validate():
+    with pytest.raises(ValueError):  # index outside the rank
+        FreeEndo(2, ((3, word([1])),))
+    with pytest.raises(ValueError):  # duplicate image
+        FreeEndo(2, ((1, word([2])), (1, word([2, 1]))))
+    with pytest.raises(ValueError):  # stored fixed image
+        FreeEndo(2, ((1, word([1])),))
+    with pytest.raises(ValueError):  # image beyond the rank
+        free_endo(2, {1: word([1, 3])})
+    assert free_endo(2, {2: word([2]), 1: word([2])}) == FreeEndo(2, ((1, word([2])),))
+
+
+def test_unchecked_kernel_outputs_pass_validation(monkeypatch):
+    """concat, invert, compose, IAWord.realized and both conj_endo routes
+    build their results unchecked; on seeded inputs at ranks 2-6 the
+    validating constructors accept each result and rebuild it unchanged."""
+    rng = random.Random(24)
+
+    def random_word(n):
+        return word(
+            rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(0, 12))
+        )
+
+    def rebuilt(phi):
+        return FreeEndo(phi.rank, tuple((i, Word(img.letters)) for i, img in phi.images))
+
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        u, v = random_word(n), random_word(n)
+        for w in (concat(u, v, invert(u)), invert(v)):
+            assert Word(w.letters) == w
+        phis = [random_ia(rng, n).realized for _ in range(3)]
+        phis.append(free_endo(n, {i: random_word(n) for i in rng.sample(range(1, n + 1), 2)}))
+        perm = signed_permutation_lift(
+            n, rng.sample(range(1, n + 1), n), [rng.choice((1, -1)) for _ in range(n)]
+        )
+        lifts = [perm, transvection_lift(n, *rng.sample(range(1, n + 1), 2)), inner_lift(n, u)]
+        outs = phis + [compose(p, q) for p in phis for q in phis]
+        outs += [lift.conj_endo(p) for lift in lifts for p in phis]
+        with monkeypatch.context() as m:
+            m.setattr(AutWitness, "_relabelling", property(lambda self: None))
+            outs += [perm.conj_endo(p) for p in phis]
+        for phi in outs:
+            assert rebuilt(phi) == phi
+
+
 def test_generator_validation():
     with pytest.raises(ValueError):
         conj(1, 1)

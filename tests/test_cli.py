@@ -1,6 +1,8 @@
 import gc
 import json
+import random
 import warnings
+from itertools import combinations
 
 import pytest
 
@@ -102,20 +104,86 @@ def test_ia_axioms_pair_verdicts_match_per_subset_tables(monkeypatch):
 
 
 def test_ia_axioms_functoriality_catches_rank_dependent_realization(monkeypatch):
-    real_free_endo = autom.free_endo
+    # IAWord.realized builds its endomorphism through FreeEndo._of
+    real_of = autom.FreeEndo._of
 
     def leaky(rank, images):
         # from rank 5 on, every realization also moves x_rank to x_rank x_1
         if rank >= 5:
             images = {rank: Word((rank, 1)), **images}
-        return real_free_endo(rank, images)
+        return real_of(rank, images)
 
-    monkeypatch.setattr(autom, "free_endo", leaky)
+    monkeypatch.setattr(autom.FreeEndo, "_of", staticmethod(leaky))
     report = cli.suite_ia_axioms({"n": 6})
     check = next(c for c in report.checks if c.name == "functoriality")
     assert not check.passed
     assert check.detail["chains"] == 4096
     assert {r for _, r in check.detail["failures"]} == {5, 6}
+
+
+def test_unchecked_constructors_match_validating_ones(monkeypatch):
+    """With Word._of, FreeEndo._of and IAWord._of routed through the
+    validating constructors, the suites raise nothing and report exactly
+    what they report with the unchecked ones."""
+    calls = [
+        ("normal-gens", {"k": 2, "n": 6, "budget": 300}),
+        ("ia-axioms", {"n": 6}),
+        ("johnson", {"n": 3, "budget": 2, "seed": 7}),
+    ]
+    unchecked = [strip_times(run_suite(name, p).to_json()) for name, p in calls]
+    used = set()
+
+    def checked(cls, build):
+        def of(*args):
+            used.add(cls)
+            return build(*args)
+
+        monkeypatch.setattr(cls, "_of", staticmethod(of))
+
+    checked(Word, Word)
+    checked(autom.FreeEndo, autom.free_endo)
+    checked(autom.IAWord, autom.IAWord)
+    validated = [strip_times(run_suite(name, p).to_json()) for name, p in calls]
+    assert used == {Word, autom.FreeEndo, autom.IAWord}
+    assert validated == unchecked
+
+
+def test_revalidate_tilt_matches_per_vector_action():
+    """One action kernel per witness gives the verdicts of one glnz_action
+    call per basis vector: on the n = 4, seed 1 sample with its found
+    witnesses, and on seeded sparse functionals against products of
+    elementary matrices, which tilt some of them only."""
+    n, s = 4, 3
+
+    def per_vector(lam, m):
+        minv = johnson.mat_inverse_unimodular(m)
+        return all(
+            any(
+                johnson.pairing(lam, johnson.glnz_action(m, vec, minv)) != 0
+                for vec in johnson.subspace_image_basis(idx, n)
+            )
+            for idx in combinations(range(1, n + 1), s)
+        )
+
+    results = [
+        (lam, johnson.tilt_search(lam, n, s, 4))
+        for lam in cli.sample_functionals(n, 100, 1)
+    ]
+    rng = random.Random(1)
+    keys = johnson.h1_basis_keys(n)
+    for _ in range(100):
+        coords = {k: rng.choice((1, -1, 2)) for k in rng.sample(keys, rng.randint(1, 4))}
+        m = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.sample(range(1, n + 1), 2)
+            m = johnson.mat_mul(m, johnson.elementary_matrix(n, i, j, rng.choice((1, -1))))
+        results.append((johnson.h1_functional(n, coords), johnson.TiltResult(True, matrix=m)))
+    verdicts = [cli._revalidate_tilt(lam, res, n, s) for lam, res in results]
+    assert verdicts == [
+        res.found and per_vector(lam, res.matrix) for lam, res in results
+    ]
+    assert all(verdicts[:100])
+    assert sum(verdicts[100:]) == 44
 
 
 def test_johnson_suite_small():
