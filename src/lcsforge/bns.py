@@ -2,13 +2,16 @@
 certificates, and a right-angled Artin group subsystem serving as the
 independent oracle.
 
-A character assigns a rational to each generator label.  ``kmm_check``
-verifies the four hypotheses (survival, connected commutation graph,
-domination, attested generation) against a caller-supplied group context and
-returns either a certificate whose fields re-validate independently, or a
-structured failure.  ``mv_oracle`` is the living-subgraph criterion for RAAG
-membership quoted from the literature on these groups: the subgraph induced
-on the nonvanishing vertices must be connected and dominating.
+A character assigns a rational to each vertex generator 1..n of a RAAG and
+stores the values in vertex order.  ``kmm_check`` verifies three hypotheses
+(survival, connected commutation graph, domination) against a
+caller-supplied group context and returns either a certificate whose fields
+re-validate independently, or a structured failure.  The fourth hypothesis,
+that B generates the group, is the caller's precondition: the one caller
+passes every vertex generator.  ``mv_oracle`` is the living-subgraph
+criterion for RAAG membership quoted from the literature on these groups:
+the subgraph induced on the nonvanishing vertices must be connected and
+dominating.
 
 RAAG words are sequences of signed vertex indices.  The normal form first
 removes every cancellable pair (inverse letters separated only by letters
@@ -20,8 +23,8 @@ computed by greedy extraction, which is a class invariant.
 
 ``soundness_sweep`` cross-checks the criterion against the oracle character by
 character.  ``grid_sweep`` gives the same counts over the whole character
-grid while visiting one character per support, weighted by how many grid
-characters share it, since both verdicts read only the support.
+grid ``GRID`` while visiting one character per support, weighted by how many
+grid characters share it, since both verdicts read only the support.
 """
 
 from __future__ import annotations
@@ -30,12 +33,12 @@ from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
+    "GRID",
     "Character",
     "character",
-    "character_validate",
     "RAAGPresentation",
     "raag",
     "raag_from_text",
@@ -57,49 +60,33 @@ __all__ = [
     "character_grid",
 ]
 
-Label = Hashable
+# The values each vertex takes in the swept character grid.
+GRID = (-1, 0, 1, 2)
 
 
 @dataclass(frozen=True)
 class Character:
-    """Rational values on generator labels, representing a homomorphism to
-    the additive rationals."""
+    """Rational values on the vertex generators 1..n, in vertex order,
+    representing a homomorphism to the additive rationals."""
 
-    values: tuple[tuple[Label, Fraction], ...]
+    values: tuple[Fraction, ...]
 
-    def as_dict(self) -> dict[Label, Fraction]:
-        return dict(self.values)
-
-    def value(self, label: Label) -> Fraction:
-        for k, v in self.values:
-            if k == label:
-                return v
-        raise KeyError(label)
+    def value(self, v: int) -> Fraction:
+        if v < 1:
+            raise IndexError(f"vertex {v} out of range")
+        return self.values[v - 1]
 
     def is_zero(self) -> bool:
-        return all(v == 0 for _, v in self.values)
+        return not any(self.values)
 
 
-def character(values: Mapping[Label, Fraction | int]) -> Character:
-    items = tuple(sorted(((k, Fraction(v)) for k, v in values.items()), key=lambda kv: repr(kv[0])))
-    return Character(items)
-
-
-def character_validate(
-    char: Character, relators: Iterable[Sequence[tuple[Label, int]]]
-) -> bool:
-    """True iff the character kills the abelianized image of every relator
-    (each relator a sequence of (label, exponent) pairs)."""
-    vals = char.as_dict()
-    for rel in relators:
-        total = Fraction(0)
-        for label, exponent in rel:
-            if label not in vals:
-                raise KeyError(f"relator uses unknown generator {label!r}")
-            total += exponent * vals[label]
-        if total:
-            return False
-    return True
+def character(values: Mapping[int, Fraction | int]) -> Character:
+    """The character with the given value on each vertex; the keys must be
+    exactly the vertices 1..n."""
+    n = len(values)
+    if set(values) != set(range(1, n + 1)):
+        raise ValueError(f"character keys must be the vertices 1..{n}: {list(values)}")
+    return Character(tuple(Fraction(values[v]) for v in range(1, n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +237,12 @@ class RAAGContext:
         return hit
 
     def char_values(self, char: Character, ws: Sequence[RAAGWord]) -> list[Fraction]:
-        """The character's value on each word, from one value map; each sum
-        starts from its first term (0 for the empty word)."""
-        vals = char.as_dict()
+        """The character's value on each word, indexing its vertex values;
+        each sum starts from its first term (0 for the empty word)."""
+        vals = char.values
         out = []
         for w in ws:
-            terms = [vals[v] if v > 0 else -vals[-v] for v in w.letters]
+            terms = [vals[v - 1] if v > 0 else -vals[-v - 1] for v in w.letters]
             out.append(sum(terms[1:], terms[0]) if terms else 0)
         return out
 
@@ -269,8 +256,8 @@ class KMMCertificate:
     """Witness that a character satisfies the sufficient conditions: all of
     A survives, the commutation graph on A is connected (spanning tree
     recorded), and every element of B commutes with a recorded element of A.
-    Generation by B is a hypothesis the caller attests: ``kmm_check`` returns
-    a failure without it, so a certificate records nothing for it."""
+    That B generates the group is the caller's precondition, which
+    ``kmm_check`` does not test, so a certificate records nothing for it."""
 
     a_elements: tuple
     b_elements: tuple
@@ -319,11 +306,11 @@ def kmm_check(
     char: Character,
     a_elements: Sequence,
     b_elements: Sequence,
-    generation_attested: bool,
 ) -> KMMCertificate | KMMFailure:
-    """Check survival, connectivity, domination, and generation attestation;
-    on success the certificate semantically asserts the character's class
-    lies in the BNS invariant."""
+    """Check survival, connectivity and domination; on success the
+    certificate semantically asserts the character's class lies in the BNS
+    invariant.  The caller guarantees that B generates the group (every
+    vertex generator of a RAAG does)."""
     if char.is_zero():
         return KMMFailure("zero-character")
     if not a_elements:
@@ -349,9 +336,6 @@ def kmm_check(
         if hit is None:
             return KMMFailure("undominated-element", (j,))
         domination.append((j, hit))
-
-    if not generation_attested:
-        return KMMFailure("generation-not-attested")
 
     return KMMCertificate(
         tuple(a_elements),
@@ -398,11 +382,10 @@ def mv_oracle(g: RAAGPresentation, char: Character) -> bool:
     """Living-subgraph membership criterion for RAAG characters: the
     subgraph induced on vertices with nonzero value is connected, and every
     zero vertex is adjacent to a nonzero one."""
-    vals = char.as_dict()
-    missing = [v for v in g.vertices() if v not in vals]
-    if missing:
-        raise KeyError(f"character misses vertices {missing}")
-    living = [v for v in g.vertices() if vals[v] != 0]
+    vals = char.values
+    if len(vals) != g.n_vertices:
+        raise ValueError(f"character has {len(vals)} values, graph {g.n_vertices} vertices")
+    living = [v for v in g.vertices() if vals[v - 1] != 0]
     if not living:
         raise ValueError("mv_oracle needs a nonzero character")
     seen = {living[0]}
@@ -417,7 +400,7 @@ def mv_oracle(g: RAAGPresentation, char: Character) -> bool:
     if seen != live:
         return False
     for v in g.vertices():
-        if vals[v] == 0 and not any(g.adjacent(v, u) for u in living):
+        if vals[v - 1] == 0 and not any(g.adjacent(v, u) for u in living):
             return False
     return True
 
@@ -462,7 +445,7 @@ def soundness_sweep(
 
     For each nonzero character: run the criterion with the canonical
     choice A = living vertex generators, B = all vertex generators
-    (generation attested by definition), and compare with the oracle.
+    (which generate the group by definition), and compare with the oracle.
     Criterion success must imply oracle truth; the converse failures are
     recorded since the criterion is only sufficient.
 
@@ -478,15 +461,14 @@ def soundness_sweep(
     verdicts: dict[tuple[bool, ...], tuple[bool, bool, str | None]] = {}
     records = []
     for char in chars:
-        vals = char.as_dict()
-        row = tuple(vals[v] for v in g.vertices())
+        row = char.values
         support = tuple(v != 0 for v in row)
         if not any(support):
             continue
         verdict = verdicts.get(support)
         if verdict is None:
             a_elements = [w for w, live in zip(b_elements, support) if live]
-            outcome = kmm_check(ctx, char, a_elements, b_elements, True)
+            outcome = kmm_check(ctx, char, a_elements, b_elements)
             verdict = (
                 outcome.ok,
                 mv_oracle(g, char),
@@ -503,20 +485,22 @@ def grid_sweep(g: RAAGPresentation) -> SweepReport:
 
     Both verdicts depend only on the support, so each nonzero support S is
     swept once, on its representative: the first grid character with
-    support S, in which every live vertex takes -1 (the first nonzero value
-    of the grid {-1, 0, 1, 2}) and every dead vertex 0.  Its record is
-    weighted by 3^|S|, the number of grid characters with support S.  The
-    weighted ``characters``, ``certificates`` and ``oracle_true_kmm_fail``
-    equal the per-character route's.  If any representative is a soundness
+    support S, in which every live vertex takes the first nonzero value of
+    ``GRID`` and every dead vertex 0.  Its record is weighted by k^|S|, the
+    number of grid characters with support S, where k counts the nonzero
+    values of ``GRID``.  The weighted ``characters``, ``certificates`` and
+    ``oracle_true_kmm_fail`` equal the per-character route's.  If any representative is a soundness
     violation, the whole grid is swept character by character instead, so
     the violations are listed one per character, in grid order."""
     n = g.n_vertices
-    report = soundness_sweep(g, character_grid(n, (-1, 0)))
+    nonzero = [x for x in GRID if x != 0]
+    base = len(nonzero)
+    report = soundness_sweep(g, character_grid(n, (nonzero[0], 0)))
     if report.soundness_violations:
         return soundness_sweep(g, character_grid(n))
     return SweepReport(
         tuple(
-            replace(r, weight=3 ** sum(1 for x in r.char_values if x != 0))
+            replace(r, weight=base ** sum(1 for x in r.char_values if x != 0))
             for r in report.records
         )
     )
@@ -533,12 +517,11 @@ def all_graphs(n_vertices: int) -> Iterable[RAAGPresentation]:
 
 
 def character_grid(
-    n_vertices: int, values: Sequence[int] = (-1, 0, 1, 2)
+    n_vertices: int, values: Sequence[int] = GRID
 ) -> Iterable[Character]:
     """All characters with each vertex value drawn from the given grid, in
-    the order and with the label order ``character`` gives them."""
-    labels = sorted(range(1, n_vertices + 1), key=repr)
-    positions = [v - 1 for v in labels]
+    lexicographic order of their values (in grid order).  Nothing is built
+    before the first character is asked for."""
     grid = [Fraction(x) for x in values]
     for combo in product(grid, repeat=n_vertices):
-        yield Character(tuple(zip(labels, [combo[i] for i in positions])))
+        yield Character(combo)

@@ -15,7 +15,6 @@ from lcsforge.bns import (
     certificate_revalidate,
     character,
     character_grid,
-    character_validate,
     kmm_check,
     mv_oracle,
     raag,
@@ -87,22 +86,30 @@ def test_graph_file_roundtrip():
         raag_from_text("# only comments\n")
 
 
-def test_character_validate():
-    zero = character({"a": 0, "b": 0})
-    assert zero.is_zero()
-    assert character_validate(zero, [[("a", 1), ("b", -1)]])
-    # any character kills a commutator relator
-    lam = character({"a": Fraction(5, 3), "b": -2})
-    assert character_validate(lam, [[("a", 1), ("b", 1), ("a", -1), ("b", -1)]])
-    assert character_validate(character({"x": 3, "y": 2}), [[("x", 2), ("y", -3)]])
-    assert not character_validate(character({"x": 1, "y": 1}), [[("x", 2), ("y", -3)]])
+def test_character_keys_are_the_vertices():
+    """A character takes exactly the vertices 1..n as keys, stores their
+    values in vertex order, and the oracle refuses one of the wrong length."""
+    lam = character({2: Fraction(5, 3), 1: 0, 3: -2})
+    assert lam.values == (0, Fraction(5, 3), -2)
+    assert all(type(x) is Fraction for x in lam.values)
+    assert lam.value(2) == Fraction(5, 3)
+    assert not lam.is_zero() and character({1: 0, 2: 0}).is_zero()
+    with pytest.raises(IndexError):
+        lam.value(0)
+    assert character({}).values == ()
+    for keys in ([1, 3], [0, 1], [2], ["a", "b"], [1, 2, 4]):
+        with pytest.raises(ValueError):
+            character({k: 1 for k in keys})
+    for n in (2, 4):
+        with pytest.raises(ValueError):
+            mv_oracle(PATH3, character({v: 1 for v in range(1, n + 1)}))
 
 
 def test_kmm_four_cycle_certificate():
     ctx = RAAGContext(FOUR_CYCLE)
     lam = character({v: 1 for v in range(1, 5)})
     elements = [raag_word([v]) for v in range(1, 5)]
-    out = kmm_check(ctx, lam, elements, elements, True)
+    out = kmm_check(ctx, lam, elements, elements)
     assert isinstance(out, KMMCertificate)
     assert out.ok
     assert len(out.spanning_tree) == 3
@@ -114,7 +121,7 @@ def test_kmm_disconnected_failure():
     lam = character({1: 1, 2: 0, 3: 1, 4: 0})
     out = kmm_check(
         ctx, lam, [raag_word([1]), raag_word([3])],
-        [raag_word([v]) for v in range(1, 5)], True,
+        [raag_word([v]) for v in range(1, 5)],
     )
     assert isinstance(out, KMMFailure)
     assert out.reason == "commutation-graph-disconnected"
@@ -125,18 +132,16 @@ def test_kmm_failure_modes():
     ctx = RAAGContext(FOUR_CYCLE)
     lam = character({v: 1 for v in range(1, 5)})
     a = [raag_word([v]) for v in range(1, 5)]
-    assert kmm_check(ctx, character({v: 0 for v in range(1, 5)}), a, a, True).reason == "zero-character"
-    assert kmm_check(ctx, lam, [], a, True).reason == "empty-A"
+    assert kmm_check(ctx, character({v: 0 for v in range(1, 5)}), a, a).reason == "zero-character"
+    assert kmm_check(ctx, lam, [], a).reason == "empty-A"
     dead = character({1: 1, 2: 1, 3: 1, 4: 0})
-    assert kmm_check(ctx, dead, a, a, True).reason == "A-does-not-survive"
-    assert kmm_check(ctx, lam, a, a, False).reason == "generation-not-attested"
+    assert kmm_check(ctx, dead, a, a).reason == "A-does-not-survive"
     free2 = raag(2, [])
     out = kmm_check(
         RAAGContext(free2),
         character({1: 1, 2: 0}),
         [raag_word([1])],
         [raag_word([1]), raag_word([2])],
-        True,
     )
     assert out.reason == "undominated-element"
 
@@ -144,9 +149,9 @@ def test_kmm_failure_modes():
 def char_values_by_fraction_sums(char, ws):
     """The sums char_values replaced, kept as the reference: each started
     from Fraction(0)."""
-    vals = char.as_dict()
+    vals = char.values
     return [
-        sum((vals[abs(v)] if v > 0 else -vals[abs(v)] for v in w.letters), Fraction(0))
+        sum((vals[abs(v) - 1] if v > 0 else -vals[abs(v) - 1] for v in w.letters), Fraction(0))
         for w in ws
     ]
 
@@ -172,7 +177,7 @@ def test_char_values_match_fraction_sums():
 def test_kmm_single_vertex():
     z = raag(1, [])
     out = kmm_check(
-        RAAGContext(z), character({1: 1}), [raag_word([1])], [raag_word([1])], True
+        RAAGContext(z), character({1: 1}), [raag_word([1])], [raag_word([1])]
     )
     assert out.ok
 
@@ -226,9 +231,9 @@ def test_soundness_sweep_matches_per_character_route(monkeypatch):
     real_kmm, real_oracle = bns.kmm_check, bns.mv_oracle
     calls = {"kmm": [], "oracle": []}
 
-    def counted_kmm(ctx, char, a_elements, b_elements, attested):
+    def counted_kmm(ctx, char, a_elements, b_elements):
         calls["kmm"].append(_support(char, ctx.graph))
-        return real_kmm(ctx, char, a_elements, b_elements, attested)
+        return real_kmm(ctx, char, a_elements, b_elements)
 
     def counted_oracle(g, char):
         calls["oracle"].append(_support(char, g))
@@ -258,12 +263,11 @@ def test_soundness_sweep_matches_per_character_route(monkeypatch):
         for char in chars:
             if char.is_zero():
                 continue
-            vals = char.as_dict()
-            living = [raag_word([v]) for v in g.vertices() if vals[v] != 0]
-            out = kmm_check(ctx, char, living, everything, True)
+            living = [raag_word([v]) for v in g.vertices() if char.values[v - 1] != 0]
+            out = kmm_check(ctx, char, living, everything)
             expected.append(
                 SweepRecord(
-                    tuple(vals[v] for v in g.vertices()),
+                    tuple(char.values[v - 1] for v in g.vertices()),
                     out.ok,
                     mv_oracle(g, char),
                     None if out.ok else out.reason,
@@ -290,9 +294,9 @@ def test_grid_sweep_matches_per_character_route(monkeypatch):
     calls = {"kmm": [], "oracle": []}
     lying = [False]
 
-    def counted_kmm(ctx, char, a_elements, b_elements, attested):
+    def counted_kmm(ctx, char, a_elements, b_elements):
         calls["kmm"].append(_support(char, ctx.graph))
-        return real_kmm(ctx, char, a_elements, b_elements, attested)
+        return real_kmm(ctx, char, a_elements, b_elements)
 
     def counted_oracle(g, char):
         calls["oracle"].append(_support(char, g))
@@ -331,8 +335,8 @@ def test_grid_sweep_matches_per_character_route(monkeypatch):
 
 
 def test_character_grid_matches_character():
-    """Fractions and label order (1, 10, 11, 2, ... by repr) as ``character``
-    builds them."""
+    """The same characters, with Fraction values, as ``character`` builds
+    from each grid combination."""
     wide = (-3, Fraction(-1, 2), 0, 1, Fraction(5, 3))
     for n in range(1, 12):
         values = wide if n <= 3 else (0, 1)
@@ -342,8 +346,7 @@ def test_character_grid_matches_character():
             for combo in product(values, repeat=n)
         ]
         assert got == want
-        assert all(type(x) is Fraction for ch in got for _, x in ch.values)
-    assert [label for label, _ in got[0].values][:4] == [1, 10, 11, 2]
+        assert all(type(x) is Fraction for ch in got for x in ch.values)
 
 
 def test_all_graphs_count():

@@ -300,8 +300,9 @@ def test_kmm_raag_cost_guard(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(bns, "soundness_sweep", sweep)
     # 4**11 and sum(2**(v(v-1)/2) * 4**v, v <= 5) characters are admitted,
-    # 4**12 and the same sum to v = 6 are not; the sum is capped at v = 64,
-    # so a huge --max-n is refused without summing to it
+    # 4**12 and the same sum to v = 6 are not; the sum and the power are
+    # capped at 64 vertices, so a huge --max-n or vertex count is refused
+    # without computing either in full
     cases = [
         (["kmm-raag", "--max-n", "5"], True),
         (["kmm-raag", "--max-n", "6"], False),
@@ -311,6 +312,9 @@ def test_kmm_raag_cost_guard(tmp_path, capsys, monkeypatch):
         path = tmp_path / f"path{n}.graph"
         path.write_text(f"{n}\n" + "".join(f"{v} {v + 1}\n" for v in range(1, n)))
         cases.append((["kmm-raag", "--graph", str(path)], n == 11))
+    huge = tmp_path / "edgeless.graph"
+    huge.write_text(f"{10**8}\n")
+    cases.append((["kmm-raag", "--graph", str(huge)], False))
     for argv, admitted in cases:
         if admitted:
             with pytest.raises(Started):
