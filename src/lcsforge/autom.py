@@ -15,12 +15,13 @@ Magnus generator conventions (fixed once for the whole artifact):
 ``FreeEndo(...)``, ``free_endo``, ``IAWord(...)``, ``ia_word``, ``parse_ia_word``
 and the lifts validate; ``FreeEndo._of`` and ``IAWord._of`` do not, and only
 kernels whose result holds the invariants by construction use them.
+The classes are plain; ``FreeEndo`` and ``IAGenerator`` hash by their fields,
+so they key tables, and each cache is a ``cached_property`` in the ``__dict__``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -58,35 +59,45 @@ class RankMismatch(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class FreeEndo:
     """Endomorphism of the rank-n free group; images lists only moved
-    generators, sorted by index."""
+    generators, sorted by index.  Assigning to it raises."""
 
-    rank: int
-    images: tuple[tuple[int, Word], ...] = ()
-
-    def __post_init__(self) -> None:
+    def __init__(self, rank: int, images: tuple[tuple[int, Word], ...] = ()) -> None:
         seen = set()
-        for i, img in self.images:
-            if not 1 <= i <= self.rank:
-                raise ValueError(f"image index {i} outside rank {self.rank}")
+        for i, img in images:
+            if not 1 <= i <= rank:
+                raise ValueError(f"image index {i} outside rank {rank}")
             if i in seen:
                 raise ValueError(f"duplicate image for index {i}")
             seen.add(i)
-            bad = [j for j in support(img) if j > self.rank]
+            bad = [j for j in support(img) if j > rank]
             if bad:
                 raise ValueError(f"image of x{i} uses indices {bad} beyond rank")
             if img.letters == (i,):
                 raise ValueError("fixed images must be omitted; use free_endo()")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "images", images)
 
     @classmethod
     def _of(cls, rank: int, images: Mapping[int, Word]) -> "FreeEndo":
         """``free_endo`` unchecked: every index and image is within the rank."""
         phi = object.__new__(cls)
+        # not __dict__.update, which gives each of these many values its own dict
         object.__setattr__(phi, "rank", rank)
         object.__setattr__(phi, "images", _moved(images))
         return phi
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and (
+            (self.rank, self.images) == (other.rank, other.images)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.images))
 
     @cached_property
     def _imap(self) -> dict[int, Word]:
@@ -178,7 +189,6 @@ def ia_check(phi: FreeEndo) -> bool:
 # Magnus generators and IA words
 
 
-@dataclass(frozen=True)
 class IAGenerator:
     """A signed Magnus generator: kind 'conj' is K[a,b], kind 'comm' is
     M[a,b,c] with b < c; sign -1 denotes the inverse move.
@@ -186,40 +196,46 @@ class IAGenerator:
     ``indices`` and the image letters are computed once, on construction,
     and the inverse once, on first use; the inverse's inverse is this
     object.  They are not fields: equality and hash see only the five
-    fields."""
+    fields, and assignment raises."""
 
-    kind: str
-    a: int
-    b: int
-    c: int | None = None
-    sign: int = 1
-
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
+    def __init__(self, kind: str, a: int, b: int, c: int | None = None, sign: int = 1) -> None:
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if self.kind == "conj":
-            if self.c is not None:
+        if kind == "conj":
+            if c is not None:
                 raise ValueError("conj takes two indices")
-            if self.a == self.b or min(self.a, self.b) < 1:
-                raise ValueError(f"bad conj indices ({self.a},{self.b})")
-            u = self.sign * self.b
-            indices = frozenset((self.a, self.b))
-            image = (u, self.a, -u)
-        elif self.kind == "comm":
-            if self.c is None:
+            if a == b or min(a, b) < 1:
+                raise ValueError(f"bad conj indices ({a},{b})")
+            u = sign * b
+            indices = frozenset((a, b))
+            image = (u, a, -u)
+        elif kind == "comm":
+            if c is None:
                 raise ValueError("comm takes three indices")
-            if len({self.a, self.b, self.c}) != 3 or min(self.a, self.b, self.c) < 1:
-                raise ValueError(f"bad comm indices ({self.a},{self.b},{self.c})")
-            if not self.b < self.c:
+            if len({a, b, c}) != 3 or min(a, b, c) < 1:
+                raise ValueError(f"bad comm indices ({a},{b},{c})")
+            if not b < c:
                 raise ValueError("comm requires b < c")
-            p, q = (self.b, self.c) if self.sign > 0 else (self.c, self.b)
-            indices = frozenset((self.a, self.b, self.c))
-            image = (self.a, p, q, -p, -q)
+            p, q = (b, c) if sign > 0 else (c, b)
+            indices = frozenset((a, b, c))
+            image = (a, p, q, -p, -q)
         else:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "_image", image)
-        object.__setattr__(self, "_inverse", None)
+            raise ValueError(f"unknown generator kind {kind!r}")
+        self.__dict__.update(
+            kind=kind, a=a, b=b, c=c, sign=sign, indices=indices, _image=image, _inverse=None
+        )
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and (
+            (self.kind, self.a, self.b, self.c, self.sign)
+            == (other.kind, other.a, other.b, other.c, other.sign)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.a, self.b, self.c, self.sign))
 
     def image_letters(self) -> tuple[int, ...]:
         """The letters of the image of x_a, the one generator moved:
@@ -231,8 +247,8 @@ class IAGenerator:
         inv = self._inverse
         if inv is None:
             inv = IAGenerator(self.kind, self.a, self.b, self.c, -self.sign)
-            object.__setattr__(inv, "_inverse", self)
-            object.__setattr__(self, "_inverse", inv)
+            inv.__dict__["_inverse"] = self
+            self.__dict__["_inverse"] = inv
         return inv
 
     def token(self) -> str:
@@ -252,27 +268,30 @@ def comm_move(a: int, b: int, c: int, sign: int = 1) -> IAGenerator:
     return IAGenerator("comm", a, b, c, sign=sign)
 
 
-@dataclass(frozen=True)
 class IAWord:
     """A word in signed Magnus generators, the invertibility witness of its
-    realized endomorphism, which is built in one substitution pass and
-    cached."""
+    realized endomorphism, built in one pass and cached; no caller assigns
+    to its fields."""
 
-    rank: int
-    gens: tuple[IAGenerator, ...] = ()
-
-    def __post_init__(self) -> None:
-        for g in self.gens:
-            if any(i > self.rank for i in g.indices):
-                raise ValueError(f"generator {g.token()} exceeds rank {self.rank}")
+    def __init__(self, rank: int, gens: tuple[IAGenerator, ...] = ()) -> None:
+        for g in gens:
+            if any(i > rank for i in g.indices):
+                raise ValueError(f"generator {g.token()} exceeds rank {rank}")
+        self.rank = rank
+        self.gens = gens
 
     @classmethod
     def _of(cls, rank: int, gens: tuple[IAGenerator, ...]) -> "IAWord":
         """Unchecked: ``realized`` still checks every index against the rank."""
         w = object.__new__(cls)
-        object.__setattr__(w, "rank", rank)
-        object.__setattr__(w, "gens", gens)
+        w.rank = rank
+        w.gens = gens
         return w
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and (
+            (self.rank, self.gens) == (other.rank, other.gens)
+        )
 
     @cached_property
     def realized(self) -> FreeEndo:
@@ -386,31 +405,27 @@ def _letter_map(phi: FreeEndo) -> dict[int, int] | None:
     return letters
 
 
-@dataclass(frozen=True)
 class AutWitness:
     """An automorphism bundled with its inverse; both directions are checked
     on construction.  When both halves send every generator to one signed
     letter, their letter maps are checked to invert each other, which is the
     same as both compositions being the identity; otherwise both
-    compositions are built."""
+    compositions are built.  No caller assigns to ``fwd`` or ``inv``."""
 
-    fwd: FreeEndo
-    inv: FreeEndo
-
-    def __post_init__(self) -> None:
-        if self.fwd.rank != self.inv.rank:
+    def __init__(self, fwd: FreeEndo, inv: FreeEndo) -> None:
+        if fwd.rank != inv.rank:
             raise RankMismatch("witness halves have different ranks")
+        self.fwd = fwd
+        self.inv = inv
         fwd_map = self._relabelling
-        inv_map = None if fwd_map is None else _letter_map(self.inv)
+        inv_map = None if fwd_map is None else _letter_map(inv)
         if inv_map is not None:
             inverts = all(
                 fwd_map[inv_map[i]] == i and inv_map[fwd_map[i]] == i
-                for i in range(1, self.fwd.rank + 1)
+                for i in range(1, fwd.rank + 1)
             )
         else:
-            inverts = is_identity(compose(self.fwd, self.inv)) and is_identity(
-                compose(self.inv, self.fwd)
-            )
+            inverts = is_identity(compose(fwd, inv)) and is_identity(compose(inv, fwd))
         if not inverts:
             raise ValueError("inverse witness does not invert the automorphism")
 

@@ -30,10 +30,9 @@ grid characters share it, since both verdicts read only the support.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "GRID",
@@ -64,12 +63,17 @@ __all__ = [
 GRID = (-1, 0, 1, 2)
 
 
-@dataclass(frozen=True)
 class Character:
-    """Rational values on the vertex generators 1..n, in vertex order,
-    representing a homomorphism to the additive rationals."""
+    """Rational values on the vertex generators 1..n, in vertex order, of a
+    homomorphism to the additive rationals; no caller assigns to them."""
 
-    values: tuple[Fraction, ...]
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple[Fraction, ...]) -> None:
+        self.values = values
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and self.values == other.values
 
     def value(self, v: int) -> Fraction:
         if v < 1:
@@ -93,24 +97,29 @@ def character(values: Mapping[int, Fraction | int]) -> Character:
 # Right-angled Artin groups
 
 
-@dataclass(frozen=True)
 class RAAGPresentation:
     """Simple graph on vertices 1..n_vertices; an edge means the two vertex
-    generators commute."""
+    generators commute; no caller assigns to its fields."""
 
-    n_vertices: int
-    edges: frozenset[tuple[int, int]]
+    __slots__ = ("n_vertices", "edges")
 
-    def __post_init__(self) -> None:
-        if self.n_vertices < 0:
-            raise ValueError(f"negative vertex count {self.n_vertices}")
-        for u, v in self.edges:
+    def __init__(self, n_vertices: int, edges: frozenset[tuple[int, int]]) -> None:
+        if n_vertices < 0:
+            raise ValueError(f"negative vertex count {n_vertices}")
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at {u}")
-            if not (1 <= u <= self.n_vertices and 1 <= v <= self.n_vertices):
+            if not (1 <= u <= n_vertices and 1 <= v <= n_vertices):
                 raise ValueError(f"edge ({u},{v}) escapes vertex range")
             if u > v:
                 raise ValueError("edges must be stored as (low, high)")
+        self.n_vertices = n_vertices
+        self.edges = edges
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and (
+            (self.n_vertices, self.edges) == (other.n_vertices, other.edges)
+        )
 
     def adjacent(self, u: int, v: int) -> bool:
         a, b = min(u, v), max(u, v)
@@ -144,15 +153,18 @@ def raag_from_text(text: str) -> RAAGPresentation:
     return raag(count, edges)
 
 
-@dataclass(frozen=True)
 class RAAGWord:
-    """Word in signed vertex generators (+i / -i)."""
+    """Word in signed vertex generators (+i / -i); no caller assigns to it."""
 
-    letters: tuple[int, ...] = ()
+    __slots__ = ("letters",)
 
-    def __post_init__(self) -> None:
-        if any(v == 0 for v in self.letters):
+    def __init__(self, letters: tuple[int, ...] = ()) -> None:
+        if any(v == 0 for v in letters):
             raise ValueError("0 is not a valid signed letter")
+        self.letters = letters
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and self.letters == other.letters
 
 
 def raag_word(letters: Iterable[int]) -> RAAGWord:
@@ -251,8 +263,7 @@ class RAAGContext:
 # The KMM criterion
 
 
-@dataclass(frozen=True)
-class KMMCertificate:
+class KMMCertificate(NamedTuple):
     """Witness that a character satisfies the sufficient conditions: all of
     A survives, the commutation graph on A is connected (spanning tree
     recorded), and every element of B commutes with a recorded element of A.
@@ -265,19 +276,14 @@ class KMMCertificate:
     spanning_tree: tuple[tuple[int, int], ...]
     domination: tuple[tuple[int, int], ...]  # position in B -> position in A
 
-    @property
-    def ok(self) -> bool:
-        return True
+    ok = True
 
 
-@dataclass(frozen=True)
-class KMMFailure:
+class KMMFailure(NamedTuple):
     reason: str
     detail: tuple = ()
 
-    @property
-    def ok(self) -> bool:
-        return False
+    ok = False
 
 
 def _spanning_tree(
@@ -405,8 +411,7 @@ def mv_oracle(g: RAAGPresentation, char: Character) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     """The verdicts on one character; ``weight`` is the number of swept
     characters the record stands for (1 on the per-character route)."""
 
@@ -417,8 +422,7 @@ class SweepRecord:
     weight: int = 1
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     records: tuple[SweepRecord, ...]
 
     @property
@@ -500,7 +504,7 @@ def grid_sweep(g: RAAGPresentation) -> SweepReport:
         return soundness_sweep(g, character_grid(n))
     return SweepReport(
         tuple(
-            replace(r, weight=base ** sum(1 for x in r.char_values if x != 0))
+            r._replace(weight=base ** sum(1 for x in r.char_values if x != 0))
             for r in report.records
         )
     )

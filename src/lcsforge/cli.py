@@ -17,9 +17,9 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from typing import NamedTuple
 
 from . import autom, bns, finc, graphs, johnson, magnus, words
 
@@ -29,19 +29,20 @@ SCHEMA_VERSION = 1
 DEFAULT_SEED = 20250211
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(NamedTuple):
     name: str
     passed: bool
     detail: dict
     time_ms: float = 0.0
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    parameters: dict
-    checks: list[CheckRecord] = field(default_factory=list)
+    """A suite's parameters and its check records, appended as they run."""
+
+    def __init__(self, suite: str, parameters: dict) -> None:
+        self.suite = suite
+        self.parameters = parameters
+        self.checks: list[CheckRecord] = []
 
     @property
     def passed(self) -> bool:
@@ -661,9 +662,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     print(report.render_text())
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(args.json, "w") as fh:
+                json.dump(report.to_json(), fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     return 0 if report.passed else 1
 
 

@@ -16,8 +16,8 @@ deterministic evenly spaced stride through lexicographic order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .autom import (
     IAGenerator,
@@ -56,15 +56,15 @@ DEFAULT_TUPLE_BUDGET = 4000
 GENERATION_DEGREE = 3
 
 
-@dataclass(frozen=True)
 class FIncIA:
-    """The IA family at ambient rank n."""
+    """The IA family at ambient rank n; no caller assigns to ``n``."""
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int) -> None:
+        if n < 1:
             raise ValueError("ambient rank must be >= 1")
+        self.n = n
 
 
 def _magnus_tokens(indices: tuple[int, ...]) -> list[IAGenerator]:
@@ -119,8 +119,7 @@ def check_functoriality(family: FIncIA) -> list[tuple[str, int]]:
     return bad
 
 
-@dataclass(frozen=True)
-class CommutingWitness:
+class CommutingWitness(NamedTuple):
     """Elementwise commutation table for two disjointly supported subgroups;
     the conjugator is identity, no conjugation is needed in this family."""
 
@@ -164,8 +163,7 @@ def format_token(w: IAWord) -> str:
     return ";".join(g.token() for g in w.gens) or "1"
 
 
-@dataclass(frozen=True)
-class PairVerdicts:
+class PairVerdicts(NamedTuple):
     """Commutation decided once per unordered pair of Magnus generators with
     disjoint supports.  A subset pair's commuting table holds the generator
     pair (u, v) exactly when supp u lies in the left set and supp v in the

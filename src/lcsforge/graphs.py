@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .autom import IAWord, commute, conjugate
 from .finc import FIncIA, format_token, subgroup_generators
@@ -36,23 +35,28 @@ __all__ = [
 Label = Hashable
 
 
-@dataclass(frozen=True)
 class UGraph:
     """Simple undirected graph; edges are stored as ordered 2-tuples of
-    distinct existing vertices."""
+    distinct existing vertices; no caller assigns to them."""
 
-    vertices: tuple[Label, ...]
-    edges: frozenset[tuple[Label, Label]]
+    __slots__ = ("vertices", "edges")
 
-    def __post_init__(self) -> None:
-        vs = set(self.vertices)
-        if len(vs) != len(self.vertices):
+    def __init__(self, vertices: tuple[Label, ...], edges: frozenset) -> None:
+        vs = set(vertices)
+        if len(vs) != len(vertices):
             raise ValueError("duplicate vertices")
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at {u!r}")
             if u not in vs or v not in vs:
                 raise ValueError(f"edge ({u!r},{v!r}) references missing vertex")
+        self.vertices = vertices
+        self.edges = edges
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and (
+            (self.vertices, self.edges) == (other.vertices, other.edges)
+        )
 
     def adjacency(self) -> dict[Label, list[Label]]:
         adj: dict[Label, list[Label]] = {v: [] for v in self.vertices}
@@ -79,8 +83,7 @@ def ugraph(vertices: Iterable[Label], edges: Iterable[tuple[Label, Label]]) -> U
     return UGraph(tuple(vertices), frozenset(_norm_edge(u, v) for u, v in edges))
 
 
-@dataclass(frozen=True)
-class Connectivity:
+class Connectivity(NamedTuple):
     connected: bool
     components: tuple[tuple[Label, ...], ...]
 
@@ -126,25 +129,31 @@ def disjointness_graph(n: int, m: int) -> UGraph:
     return UGraph(tuple(verts), edges)
 
 
-def disjointness_connected(n: int, m: int) -> bool:
-    """Whether the disjointness graph of the m-subsets of {1..n} is connected,
-    without building it: a BFS from {1..m} whose neighbours of u are the
-    m-subsets of {1..n} minus u.  A BFS has reached every vertex exactly when
-    the graph is connected, so it stops once all C(n, m) subsets are seen."""
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+def _complement_bfs(n: int, m: int, start: tuple[int, ...]) -> dict[tuple, tuple]:
+    """BFS parents over the disjointness graph of the m-subsets of {1..n},
+    without building it: the neighbours of u are the m-subsets of {1..n}
+    minus u, in lexicographic order, the order of the graph's sorted
+    adjacency lists.  The start is its own parent; the search stops once all
+    C(n, m) subsets are seen."""
     total = math.comb(n, m)
-    start = tuple(range(1, m + 1))
-    seen = {start}
+    parent = {start: start}
     queue = deque([start])
-    while queue and len(seen) < total:
+    while queue and len(parent) < total:
         u = queue.popleft()
         rest = [i for i in range(1, n + 1) if i not in u]
         for w in combinations(rest, m):
-            if w not in seen:
-                seen.add(w)
+            if w not in parent:
+                parent[w] = u
                 queue.append(w)
-    return len(seen) == total
+    return parent
+
+
+def disjointness_connected(n: int, m: int) -> bool:
+    """Whether the disjointness graph of the m-subsets of {1..n} is connected:
+    a BFS from {1..m} has reached every vertex exactly when it is."""
+    if not 1 <= m <= n:
+        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+    return len(_complement_bfs(n, m, tuple(range(1, m + 1)))) == math.comb(n, m)
 
 
 def expected_disjointness_connectivity(n: int, m: int) -> bool:
@@ -173,7 +182,8 @@ def disjointness_path(
 ) -> tuple[tuple[int, ...], ...]:
     """A shortest path between two m-subsets through stepwise-disjoint
     m-subsets.  Tries the direct constructions first (equal, disjoint, or one
-    common avoider), then falls back to BFS; raises when no path exists."""
+    common avoider), then falls back to the BFS over complements; raises when
+    no path exists."""
     a = tuple(sorted(start))
     b = tuple(sorted(goal))
     if len(a) != m or len(b) != m:
@@ -188,26 +198,16 @@ def disjointness_path(
     if len(free) >= m:
         return (a, tuple(free[:m]), b)
 
-    g = disjointness_graph(n, m)
-    prev: dict[tuple[int, ...], tuple[int, ...]] = {a: a}
-    queue = deque([a])
-    adj = g.adjacency()
-    while queue:
-        v = queue.popleft()
-        if v == b:
-            path = [v]
-            while path[-1] != a:
-                path.append(prev[path[-1]])
-            return tuple(reversed(path))
-        for w in adj[v]:
-            if w not in prev:
-                prev[w] = v
-                queue.append(w)
-    raise ValueError(f"no disjointness path from {a} to {b} at (n={n}, m={m})")
+    parent = _complement_bfs(n, m, a)
+    if b not in parent:
+        raise ValueError(f"no disjointness path from {a} to {b} at (n={n}, m={m})")
+    path = [b]
+    while path[-1] != a:
+        path.append(parent[path[-1]])
+    return tuple(reversed(path))
 
 
-@dataclass(frozen=True)
-class TwoStepWitness:
+class TwoStepWitness(NamedTuple):
     """The middle vertex of a two-edge link: an index set whose subgroup
     commutes elementwise both with the basepoint subgroup and with its
     conjugate by the moving generator.  The conjugator alpha is always the

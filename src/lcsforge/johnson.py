@@ -20,10 +20,9 @@ coordinate subspace, or reports exhaustion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .autom import AutWitness, FreeEndo, abelianized_matrix
 
@@ -79,12 +78,19 @@ def _normalize(n: int, coords: Mapping[Key, Value]) -> Coords:
     return tuple(sorted(out.items()))
 
 
-@dataclass(frozen=True)
 class H1Vector:
-    """Finitely supported coordinates over the (a, b<c) basis."""
+    """Finitely supported coordinates over the (a, b<c) basis; no caller assigns to them."""
 
-    n: int
-    coords: Coords = ()
+    __slots__ = ("n", "coords")
+
+    def __init__(self, n: int, coords: Coords = ()) -> None:
+        self.n = n
+        self.coords = coords
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and (
+            (self.n, self.coords) == (other.n, other.coords)
+        )
 
     def as_dict(self) -> dict[Key, Value]:
         return dict(self.coords)
@@ -97,13 +103,15 @@ class H1Vector:
         return [d.get(k, 0) for k in h1_basis_keys(self.n)]
 
 
-@dataclass(frozen=True)
 class H1Functional:
     """Dual-side coordinates against the same basis; pairing is the
-    coordinatewise sum of products."""
+    coordinatewise sum of products; no caller assigns to them."""
 
-    n: int
-    coords: Coords = ()
+    __slots__ = ("n", "coords")
+
+    def __init__(self, n: int, coords: Coords = ()) -> None:
+        self.n = n
+        self.coords = coords
 
     def as_dict(self) -> dict[Key, Value]:
         return dict(self.coords)
@@ -311,8 +319,7 @@ def subspace_image_basis(index_set: Iterable[int], n: int) -> list[H1Vector]:
 Move = tuple[int, int, int]  # (i, j, sign)
 
 
-@dataclass(frozen=True)
-class TiltResult:
+class TiltResult(NamedTuple):
     found: bool
     moves: tuple[Move, ...] = ()
     matrix: IntMatrix | None = None

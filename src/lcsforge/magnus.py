@@ -36,7 +36,6 @@ routes on seeded random IA words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
@@ -64,22 +63,27 @@ Monomial = tuple[int, ...]
 Series = Sequence[tuple[Monomial, int]]
 
 
-@dataclass(frozen=True)
 class TruncatedSeries:
     """Integer noncommutative polynomial with all terms of degree > cutoff
-    dropped.  ``terms`` holds no zero coefficients."""
+    dropped.  ``terms`` holds no zero coefficients; no caller assigns to it."""
 
-    cutoff: int
-    terms: tuple[tuple[Monomial, int], ...]
+    __slots__ = ("cutoff", "terms")
 
-    def __post_init__(self) -> None:
-        if self.cutoff < 1:
+    def __init__(self, cutoff: int, terms: tuple[tuple[Monomial, int], ...]) -> None:
+        if cutoff < 1:
             raise ValueError("cutoff must be >= 1")
-        for mono, coeff in self.terms:
+        for mono, coeff in terms:
             if coeff == 0:
                 raise ValueError("zero coefficient stored")
-            if len(mono) > self.cutoff:
+            if len(mono) > cutoff:
                 raise ValueError("monomial longer than cutoff stored")
+        self.cutoff = cutoff
+        self.terms = terms
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and (
+            (self.cutoff, self.terms) == (other.cutoff, other.terms)
+        )
 
     def as_dict(self) -> dict[Monomial, int]:
         return dict(self.terms)
@@ -345,19 +349,19 @@ def johnson_level(phi: FreeEndo | IAWord, cutoff: int) -> int | None:
 # Hall bases of free Lie algebras
 
 
-@dataclass(frozen=True)
 class HallTree:
-    """A leaf (generator index) or a bracket of two Hall trees."""
+    """A leaf (generator index) or a bracket of two Hall trees; no caller assigns to it."""
 
-    index: int | None = None
-    left: "HallTree | None" = None
-    right: "HallTree | None" = None
+    __slots__ = ("index", "left", "right")
 
-    def __post_init__(self) -> None:
-        if (self.index is None) == (self.left is None):
+    def __init__(self, index=None, left=None, right=None) -> None:
+        if (index is None) == (left is None):
             raise ValueError("HallTree is either a leaf or a bracket")
-        if (self.left is None) != (self.right is None):
+        if (left is None) != (right is None):
             raise ValueError("bracket needs both children")
+        self.index = index
+        self.left = left
+        self.right = right
 
     @property
     def is_leaf(self) -> bool:

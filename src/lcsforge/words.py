@@ -6,13 +6,13 @@ equality is plain tuple equality.  The commutator convention throughout is
 ``[a, b] = a b a^-1 b^-1``.
 
 ``Word(...)``, ``word`` and ``parse_word`` validate; ``Word._of`` does not,
-and only kernels whose result is reduced by construction use it.
+and only kernels whose result is reduced by construction use it.  ``Word``
+is a plain class that hashes by its letters, so words key tables.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
 
 __all__ = [
@@ -71,18 +71,17 @@ def reduce_letters(letters: Iterable[Letter]) -> tuple[int, ...]:
     return _reduce((map(_encode, letters),))
 
 
-@dataclass(frozen=True)
 class Word:
-    """A freely reduced word; the empty tuple is the identity."""
+    """A freely reduced word; the empty tuple is the identity.  Assigning to it raises."""
 
-    letters: tuple[int, ...] = ()
+    __slots__ = ("letters",)
 
-    def __post_init__(self) -> None:
-        for a, b in zip(self.letters, self.letters[1:]):
-            if a == -b:
-                raise ValueError("letters are not freely reduced; use word()")
-        if any(v == 0 for v in self.letters):
+    def __init__(self, letters: tuple[int, ...] = ()) -> None:
+        if any(a == -b for a, b in zip(letters, letters[1:])):
+            raise ValueError("letters are not freely reduced; use word()")
+        if any(v == 0 for v in letters):
             raise ValueError("0 is not a valid signed letter")
+        object.__setattr__(self, "letters", letters)
 
     @classmethod
     def _of(cls, letters: tuple[int, ...]) -> "Word":
@@ -90,6 +89,18 @@ class Word:
         w = object.__new__(cls)
         object.__setattr__(w, "letters", letters)
         return w
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return Word, (self.letters,)
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash((self.letters,))
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -328,7 +327,7 @@ def test_grid_sweep_matches_per_character_route(monkeypatch):
             first = {}
             for r in want.records:
                 first.setdefault(tuple(x != 0 for x in r.char_values), r)
-            assert [replace(r, weight=1) for r in got.records] == list(first.values())
+            assert [r._replace(weight=1) for r in got.records] == list(first.values())
             for name in ("kmm", "oracle"):
                 assert len(swept[name]) == len(set(swept[name])) == 2**n - 1
     assert fallbacks > 0

@@ -405,6 +405,17 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert "error: LCSFORGE_SEED must be an integer" in capsys.readouterr().err
 
 
+def test_unwritable_json_report_is_a_usage_error(tmp_path, capsys):
+    """The suite runs and prints its report; the write that fails exits 2,
+    not 1, which would claim a failed check."""
+    path = tmp_path / "missing" / "r.json"
+    assert main(["depth", "--word", "x1.x2", "--cutoff", "3", "--json", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "status: pass" in captured.out
+    assert captured.err.startswith("error: ")
+    assert not path.exists()
+
+
 def test_ranges_without_sizes_rejected(capsys, tmp_path):
     for argv in (
         ["kneser", "--max-m", "0"],

@@ -1,3 +1,4 @@
+from collections import deque
 from itertools import combinations
 
 import pytest
@@ -116,6 +117,50 @@ def test_paths_validate_across_range():
             p = disjointness_path(n, m, a, b)
             assert validate_path(g, p), (n, m, a, b)
             assert len(p) - 1 <= 4
+
+
+def _reference_path(g, a, b):
+    """BFS over the built graph's sorted adjacency lists, stopping at b: the
+    route the BFS over complements replaced, kept as the reference."""
+    prev = {a: a}
+    queue = deque([a])
+    adj = g.adjacency()
+    while queue:
+        v = queue.popleft()
+        if v == b:
+            path = [v]
+            while path[-1] != a:
+                path.append(prev[path[-1]])
+            return tuple(reversed(path))
+        for w in adj[v]:
+            if w not in prev:
+                prev[w] = v
+                queue.append(w)
+    return None
+
+
+def test_fallback_paths_match_adjacency_bfs():
+    """Every ordered pair of m-subsets that no direct construction joins
+    (distinct, intersecting, fewer than m common avoiders), at m <= 3 and
+    n <= 8: the same shortest path, or the same refusal."""
+    fallbacks = refused = 0
+    for m in range(1, 4):
+        for n in range(m, 9):
+            g = disjointness_graph(n, m)
+            for a in g.vertices:
+                for b in g.vertices:
+                    if a == b or not set(a) & set(b) or n - len(set(a) | set(b)) >= m:
+                        continue
+                    fallbacks += 1
+                    want = _reference_path(g, a, b)
+                    if want is None:
+                        refused += 1
+                        with pytest.raises(ValueError):
+                            disjointness_path(n, m, a, b)
+                    else:
+                        assert disjointness_path(n, m, a, b) == want, (n, m, a, b)
+                        assert validate_path(g, want)
+    assert fallbacks > refused > 0
 
 
 def test_path_error_when_disconnected():
