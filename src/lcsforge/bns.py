@@ -136,18 +136,23 @@ def raag(n_vertices: int, edges: Iterable[tuple[int, int]]) -> RAAGPresentation:
 
 def raag_from_text(text: str) -> RAAGPresentation:
     """First non-comment line: vertex count; following lines `u v` edges;
-    `#` starts a comment."""
+    `#` starts a comment.  A malformed line raises a ValueError that names
+    its number and text."""
     count = None
     edges = []
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if count is None:
-            count = int(line)
-        else:
-            u, v = line.split()
-            edges.append((int(u), int(v)))
+        try:
+            if count is None:
+                (count,) = [int(f) for f in line.split()]
+            else:
+                u, v = [int(f) for f in line.split()]
+                edges.append((u, v))
+        except ValueError:
+            want = "a vertex count" if count is None else "an edge `u v`"
+            raise ValueError(f"line {number}: expected {want}, got {line!r}") from None
     if count is None:
         raise ValueError("missing vertex count line")
     return raag(count, edges)

@@ -422,9 +422,10 @@ def sample_functionals(n: int, count: int, seed: int) -> list[johnson.H1Function
 def _revalidate_tilt(
     lam: johnson.H1Functional, result: johnson.TiltResult, n: int, s: int
 ) -> bool:
-    """Independent re-check of a witness through one action kernel on basis
-    vectors, with the inverse from exact elimination, and the rational
-    pairing (the search itself runs on integer-scaled data)."""
+    """Independent re-check of a witness: the forward action of the returned
+    matrix on basis vectors, with its inverse from exact elimination, and the
+    rational pairing.  The search itself pulls integer-scaled functionals
+    back move by move and uses neither elimination nor the pairing."""
     if not result.found:
         return False
     m = result.matrix

@@ -14,13 +14,17 @@ search's inputs) carry denominators.
 ``tilt_search`` replaces a density existence argument with an honest bounded
 breadth-first search over words in elementary matrices: it either exhibits a
 matrix whose pullback functional restricts nontrivially to every chosen
-coordinate subspace, or reports exhaustion.
+coordinate subspace, or reports exhaustion.  The search carries the pulled-back
+functional itself, one move at a time through the same action kernel (the
+transpose of the action of m is the action of m^T), so the action on the model
+has one implementation and the search tracks no inverse matrices.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache, reduce
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -320,74 +324,26 @@ Move = tuple[int, int, int]  # (i, j, sign)
 
 
 class TiltResult(NamedTuple):
+    """``examined`` counts the distinct pullbacks of the functional that were
+    tested, the functional itself first; one reached by two words counts once."""
+
     found: bool
     moves: tuple[Move, ...] = ()
     matrix: IntMatrix | None = None
     examined: int = 0
 
 
-def _pullback_coord(
-    key: Key,
-    lam_int: dict[Key, int],
-    m: IntMatrix,
-    minv: IntMatrix,
-) -> int:
-    """(gamma* lam)(basis key) = lam(gamma . basis key), integer-scaled."""
-    a, b, c = key
-    total = 0
-    for (ap, i, j), val in lam_int.items():
-        dual = minv[a - 1][ap - 1]
-        if not dual:
-            continue
-        wedge = (
-            m[i - 1][b - 1] * m[j - 1][c - 1] - m[j - 1][b - 1] * m[i - 1][c - 1]
-        )
-        if wedge:
-            total += val * dual * wedge
-    return total
-
-
-def _restrictions_all_nonzero(
-    lam_int: dict[Key, int],
-    m: IntMatrix,
-    minv: IntMatrix,
-    subset_keys: Sequence[Sequence[Key]],
-) -> bool:
-    memo: dict[Key, int] = {}
-    for keys in subset_keys:
-        ok = False
-        for key in keys:
-            v = memo.get(key)
-            if v is None:
-                v = _pullback_coord(key, lam_int, m, minv)
-                memo[key] = v
-            if v:
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
-
-
-def _mul_elementary_right(m: IntMatrix, i: int, j: int, sign: int) -> IntMatrix:
-    """m . E_ij(sign): adds sign * (column i) to column j."""
+@lru_cache(maxsize=None)
+def _pullback_kernels(n: int) -> tuple[tuple[Move, Callable[[H1Vector], H1Vector]], ...]:
+    """Each move (i, j, s) in search order, with the kernel that pulls a
+    functional back by E_ij(s): the action of E_ij(s)^T = E_ji(s), whose
+    inverse is E_ji(-s)."""
     return tuple(
-        tuple(
-            row[c] + (sign * row[i - 1] if c == j - 1 else 0)
-            for c in range(len(row))
-        )
-        for row in m
-    )
-
-
-def _mul_elementary_inv_left(m: IntMatrix, i: int, j: int, sign: int) -> IntMatrix:
-    """E_ij(-sign) . m: subtracts sign * (row j) from row i."""
-    return tuple(
-        tuple(
-            v - (sign * m[j - 1][c] if r == i - 1 else 0)
-            for c, v in enumerate(row)
-        )
-        for r, row in enumerate(m)
+        ((i, j, s), _action(elementary_matrix(n, j, i, s), elementary_matrix(n, j, i, -s)))
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        if i != j
+        for s in (1, -1)
     )
 
 
@@ -395,9 +351,17 @@ def tilt_search(
     lam: H1Functional, n: int, subset_size: int, budget: int
 ) -> TiltResult:
     """Breadth-first search over words of length <= budget in the elementary
-    matrices E_ij(+-1), for the first matrix (in move order, identity first)
-    whose pullback of lam is nonzero on every coordinate subspace of the given
-    subset size.  Exhaustion is reported, never papered over."""
+    matrices E_ij(+-1) for the first word, shortest first and then in move
+    order, whose matrix m pulls lam back to a functional nonzero on every
+    coordinate subspace of the given subset size.  Exhaustion is reported,
+    never papered over.
+
+    The pullback lam(m . -) is lam under the action of m^T, the transpose of
+    the action of m, so each move pulls the current functional, scaled to
+    integers, back through ``_action`` with no elimination.  A restriction is
+    nonzero iff some nonzero key lies in the subset.  Pass or fail, and every
+    later pullback, depend only on the functional, so each distinct one is
+    tested and expanded once; the witness matrix is the product of the moves."""
     if lam.is_zero():
         raise ValueError("tilt_search needs a nonzero functional")
     if not 2 <= subset_size <= n:
@@ -405,48 +369,36 @@ def tilt_search(
     if lam.n != n:
         raise ValueError("functional rank mismatch")
 
-    denom_lcm = 1
+    scale = 1
     for _, val in lam.coords:
-        denom_lcm = denom_lcm * val.denominator // math.gcd(
-            denom_lcm, val.denominator
-        )
-    lam_int = {k: int(v * denom_lcm) for k, v in lam.coords}
+        scale = scale * val.denominator // math.gcd(scale, val.denominator)
+    start = H1Vector(n, tuple([(k, int(v * scale)) for k, v in lam.coords]))
+    subsets = [
+        sum([1 << i for i in idx]) for idx in combinations(range(1, n + 1), subset_size)
+    ]
+    kernels = _pullback_kernels(n)
 
-    subset_keys = [
-        [(a, b, c) for a in idx for b in idx for c in idx if b < c]
-        for idx in combinations(range(1, n + 1), subset_size)
-    ]
-    moves = [
-        (i, j, s)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if i != j
-        for s in (1, -1)
-    ]
-
-    ident = mat_identity(n)
-    frontier: list[tuple[IntMatrix, IntMatrix, tuple[Move, ...]]] = [
-        (ident, ident, ())
-    ]
-    visited = {ident}
+    frontier: list[tuple[H1Vector, tuple[Move, ...]]] = [(start, ())]
+    seen = {start.coords}
     examined = 0
     for depth in range(budget + 1):
-        nxt: list[tuple[IntMatrix, IntMatrix, tuple[Move, ...]]] = []
-        for m, minv, path in frontier:
+        nxt: list[tuple[H1Vector, tuple[Move, ...]]] = []
+        for mu, path in frontier:
             examined += 1
-            if _restrictions_all_nonzero(lam_int, m, minv, subset_keys):
-                return TiltResult(True, path, m, examined)
+            keys = [(1 << a) | (1 << b) | (1 << c) for (a, b, c), _ in mu.coords]
+            if all(any(k & s == k for k in keys) for s in subsets):
+                matrix = reduce(
+                    mat_mul, [elementary_matrix(n, *move) for move in path], mat_identity(n)
+                )
+                return TiltResult(True, path, matrix, examined)
             if depth == budget:
                 continue
-            for i, j, s in moves:
-                m2 = _mul_elementary_right(m, i, j, s)
-                if m2 in visited:
-                    continue
-                visited.add(m2)
-                nxt.append((m2, _mul_elementary_inv_left(minv, i, j, s), path + ((i, j, s),)))
+            for move, pull in kernels:
+                nu = pull(mu)
+                if nu.coords not in seen:
+                    seen.add(nu.coords)
+                    nxt.append((nu, path + (move,)))
         frontier = nxt
-        if not frontier:
-            break
     return TiltResult(False, (), None, examined)
 
 

@@ -83,6 +83,16 @@ def test_graph_file_roundtrip():
     assert g == FOUR_CYCLE
     with pytest.raises(ValueError):
         raag_from_text("# only comments\n")
+    for text, message in [
+        ("3\n1 2 3\n", "line 2: expected an edge `u v`, got '1 2 3'"),
+        ("3\n1 x\n", "line 2: expected an edge `u v`, got '1 x'"),
+        ("# c\n3\n\n2\n", "line 4: expected an edge `u v`, got '2'"),
+        ("# c\nthree  # count\n1 2\n", "line 2: expected a vertex count, got 'three'"),
+        ("3 4\n", "line 1: expected a vertex count, got '3 4'"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            raag_from_text(text)
+        assert str(exc.value) == message, text
 
 
 def test_character_keys_are_the_vertices():

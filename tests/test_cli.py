@@ -434,6 +434,15 @@ def test_ranges_without_sizes_rejected(capsys, tmp_path):
         assert "error: " in err and "vertex count" in err, err
 
 
+def test_malformed_graph_file_names_the_line(capsys, tmp_path):
+    graph = tmp_path / "bad.graph"
+    graph.write_text("3\n1 2\n1 2 3\n")
+    assert main(["kmm-raag", "--graph", str(graph)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 3: expected an edge `u v`, got '1 2 3'\n"
+    assert not captured.out
+
+
 def test_ia_axioms_trivial_rank(tmp_path):
     out = tmp_path / "n1.json"
     assert main(["ia-axioms", "--n", "1", "--json", str(out)]) == 0

@@ -525,9 +525,101 @@ def test_tilt_exhaustion_reported():
     assert res.examined == 1
 
 
-def test_tilt_rejects_zero():
-    with pytest.raises(ValueError):
-        tilt_search(h1_functional(4, {}), 4, 3, 2)
+@pytest.mark.parametrize(
+    "lam, n, size, message",
+    [
+        (h1_functional(4, {}), 4, 3, "needs a nonzero functional"),
+        (h1_functional(4, {(4, 1, 2): 1}), 4, 1, r"subset size 1 outside 2\.\.4"),
+        (h1_functional(4, {(4, 1, 2): 1}), 4, 5, r"subset size 5 outside 2\.\.4"),
+        (h1_functional(3, {(3, 1, 2): 1}), 4, 3, "functional rank mismatch"),
+    ],
+    ids=["zero-functional", "subset-size-below-2", "subset-size-above-n", "rank-mismatch"],
+)
+def test_tilt_refusals(lam, n, size, message):
+    with pytest.raises(ValueError, match=message):
+        tilt_search(lam, n, size, 2)
+
+
+def test_tilt_search_uses_no_elimination_or_pairing(monkeypatch):
+    """The search pulls functionals back through the action kernels alone,
+    so the elimination inverse and the rational pairing stay a separate
+    route for re-validating its witnesses."""
+    lam = h1_functional(4, {(4, 1, 2): 1})
+    want = tilt_search(lam, 4, 3, 2)
+    assert len(want.moves) == 2
+
+    def refuse(*args):
+        raise AssertionError("tilt_search must not call this")
+
+    monkeypatch.setattr(johnson, "mat_inverse_unimodular", refuse)
+    monkeypatch.setattr(johnson, "pairing", refuse)
+    johnson._pullback_kernels.cache_clear()
+    assert tilt_search(lam, 4, 3, 2) == want
+
+
+def test_pullback_is_the_action_of_the_transpose():
+    """The identity the tilt search rests on: for every basis key,
+    lam(m . e_key) is the key's coordinate of lam, read as a vector, under
+    the action of m^T with inverse m^-T."""
+    rng = random.Random(87)
+    for n in range(2, 6):
+        keys = h1_basis_keys(n)
+        for _ in range(20):
+            m = random_unimodular(rng, n, 6)
+            minv = mat_inverse_unimodular(m)
+            v = random_fraction_h1_vector(rng, n)
+            lam = h1_functional(n, v.as_dict())
+            pulled = glnz_action(tuple(zip(*m)), v, tuple(zip(*minv))).as_dict()
+            for key in keys:
+                moved = glnz_action(m, h1_vector(n, {key: 1}), minv)
+                assert pairing(lam, moved) == pulled.get(key, 0)
+
+
+def tilt_by_brute_force(lam, n, size, budget):
+    """Reference for tilt_search: every word of length 0..budget in move
+    order, its matrix checked from scratch through elimination, the forward
+    action and the rational pairing on every subspace basis vector.  Also
+    counts the distinct pullbacks of lam up to the word returned, each
+    computed as lam under the action of m^T."""
+    moves = [(i, j, s) for i in range(1, n + 1) for j in range(1, n + 1) if i != j for s in (1, -1)]
+    subspaces = [subspace_image_basis(idx, n) for idx in combinations(range(1, n + 1), size)]
+    vec = h1_vector(n, lam.as_dict())
+    pullbacks = set()
+    for depth in range(budget + 1):
+        for path in product(moves, repeat=depth):
+            m = mat_identity(n)
+            for move in path:
+                m = mat_mul(m, elementary_matrix(n, *move))
+            minv = mat_inverse_unimodular(m)
+            pullbacks.add(glnz_action(tuple(zip(*m)), vec, tuple(zip(*minv))).coords)
+            if all(
+                any(pairing(lam, glnz_action(m, v, minv)) != 0 for v in basis)
+                for basis in subspaces
+            ):
+                return True, path, m, len(pullbacks)
+    return False, (), None, len(pullbacks)
+
+
+def test_tilt_search_matches_brute_force():
+    """Seeded sparse functionals with Fraction coordinates at every subset
+    size, exhausted searches included: the same first word, shortest first
+    and then in move order, the same matrix, and as many pullbacks examined
+    as there are distinct ones up to that word."""
+    rng = random.Random(88)
+    outcomes = Counter()
+    for n, budget in ((2, 3), (3, 2), (4, 1)):
+        keys = h1_basis_keys(n)
+        for _ in range(40):
+            coords = {
+                k: Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+                for k in rng.sample(keys, rng.randint(1, min(3, len(keys))))
+            }
+            lam = h1_functional(n, coords)
+            size = rng.randint(2, n)
+            res = tilt_search(lam, n, size, budget)
+            assert tuple(res) == tilt_by_brute_force(lam, n, size, budget)
+            outcomes[len(res.moves) if res.found else "exhausted"] += 1
+    assert outcomes["exhausted"] and outcomes[1] and outcomes[2], outcomes
 
 
 def test_rational_rank_basics():
