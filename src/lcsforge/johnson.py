@@ -260,7 +260,12 @@ def _action(m: IntMatrix, minv: IntMatrix) -> Callable[[H1Vector], H1Vector]:
                         elif i > j:
                             k = (ap, j, i)
                             out[k] = out.get(k, 0) - scale * x * y
-        return h1_vector(n, out)
+        # every key is in range by construction, so only the values are
+        # normalized: zeros dropped, an integral Fraction stored as an int
+        coords = sorted(out.items())
+        return H1Vector(
+            n, tuple((k, v.numerator if v.denominator == 1 else v) for k, v in coords if v)
+        )
 
     return act
 

@@ -11,22 +11,22 @@ Monomials are tuples of generator indices; a series keeps all monomials of
 length <= cutoff and discards anything longer.
 
 Because the embedding is multiplicative, an endomorphism phi acts on the
-truncated series by substituting series(phi(x_j)) - 1 for X_j, and the
-Magnus map is a homomorphism Aut(F_n) -> Aut(Z<<X>>/deg > cutoff)
-(Magnus-Karrass-Solitar, *Combinatorial Group Theory*, ch. 5).  So the series
-of the images under a product of automorphisms can be built one factor at a
-time.  ``johnson_level`` takes two routes:
+truncated series by the substitution rho(phi): X_j -> series(phi(x_j)) - 1,
+and the Magnus map is a homomorphism Aut(F_n) -> Aut(Z<<X>>/deg > cutoff)
+(Magnus-Karrass-Solitar, *Combinatorial Group Theory*, ch. 5):
+series(phi(w)) = rho(phi)(series(w)).  ``johnson_level`` takes two routes:
 
-* an ``IAWord`` (a word in Magnus generators) by generator substitution: the
-  series of phi(x_j) are built generator by generator from short products
-  (``_substituted_series``); nothing on this route reads the realized
-  images, since an ``IAWord`` is IA by construction.  A step whose letters
-  all still carry their plain letter series depends only on the generator,
-  the wanted signs and the cutoff, so it is memoized (``_fresh_step``, a
-  bounded cache of immutable series).  The depth of phi(x_i) x_i^-1 is read
-  off S_i = series(phi(x_i)) without multiplying by x_i^-1: S_i x_i^-1 - 1 =
-  (S_i - 1 - X_i) x_i^-1, and x_i^-1 has constant term 1, so both sides have
-  the same least nonzero degree;
+* an ``IAWord`` (a word in Magnus generators) by folding displacement
+  series (``_displacements``).  With delta_i = series(phi(x_i)) - 1 - X_i,
+  the generator g moving x_a updates delta_a to delta_a + rho(phi)(delta_g)
+  and leaves every other delta as it is; delta_g depends only on g and the
+  cutoff and is memoized per generator (``_displacement``).  Every delta
+  starts in degree 2, so a monomial of delta_g with no room below the
+  cutoff, or none of whose letters has moved, is its own image under
+  rho(phi); only the others are expanded.  This route never realizes the
+  word, since an ``IAWord`` is IA by construction.  The depth of
+  phi(x_i) x_i^-1 is the least degree of delta_i: phi(x_i) x_i^-1 has series
+  1 + delta_i series(x_i^-1), and series(x_i^-1) has constant term 1;
 * a ``FreeEndo``, which carries no generator word, by embedding each image
   word letter by letter through ``magnus_embed``.
 
@@ -109,15 +109,15 @@ def _mul_dicts(
     b: Sequence[tuple[Monomial, int]],
     cutoff: int,
     out: dict[Monomial, int] | None = None,
-    sign: int = 1,
+    scale: int = 1,
 ) -> dict[Monomial, int]:
-    """out + sign * (a * b), truncated, accumulated in place into out (a new
+    """out + scale * (a * b), truncated, accumulated in place into out (a new
     dict when out is None); a and b are (monomial, coefficient) sequences,
     b in nondecreasing degree, so each row stops at the cutoff."""
     if out is None:
         out = {}
-    if sign != 1:
-        a = [(ma, sign * ca) for ma, ca in a]
+    if scale != 1:
+        a = [(ma, scale * ca) for ma, ca in a]
     for ma, ca in a:
         room = cutoff - len(ma)
         for mb, cb in b:
@@ -159,14 +159,6 @@ def _product(factors: Sequence[Series], cutoff: int) -> dict[Monomial, int]:
     return terms
 
 
-def _by_degree(terms: dict[Monomial, int]) -> Series:
-    # a list: CPython keeps freed tuples shorter than 20 items on per-length
-    # free lists, where the many short-lived series of level computations
-    # would hold on to memory
-    monos = sorted(terms, key=len)
-    return list(zip(monos, map(terms.__getitem__, monos)))
-
-
 def magnus_embed(w: Word, cutoff: int) -> TruncatedSeries:
     """The truncated Magnus series of w; multiplicative up to truncation."""
     if cutoff < 1:
@@ -185,100 +177,60 @@ def lcs_depth(w: Word, cutoff: int) -> int | None:
     return magnus_embed(w, cutoff).min_positive_degree()
 
 
-def _bracket(x: Series, y: Series, cutoff: int) -> Series:
-    """xy - yx = [x - 1, y - 1] for series with constant term 1, which come
-    first in degree order."""
-    x1, y1 = x[1:], y[1:]
-    return _by_degree(_mul_dicts(y1, x1, cutoff, _mul_dicts(x1, y1, cutoff), -1))
+@lru_cache(maxsize=1024)
+def _displacement(g: IAGenerator, cutoff: int) -> Series:
+    """delta_g = S(g(x_a)) - 1 - X_a for the Magnus generator g moving x_a,
+    truncated: g(x_a) x_a^-1 is a commutator, so delta_g starts in degree 2.
+    It depends only on g and the cutoff; the cached series is a tuple, so no
+    caller can mutate it.  The bound holds the 648 signed generators at
+    n = 9 and the 180 at n = 6, one cutoff each, as a filtration pass reads
+    them."""
+    terms = _product([_letter_series(v, cutoff) for v in g.image_letters()], cutoff)
+    del terms[()], terms[(g.a,)]
+    return tuple(terms.items())
 
 
-def _step(
-    a: int,
-    letters: tuple[int, ...],
-    want: tuple[int, ...],
-    current: Callable[[int], Series],
-    cutoff: int,
-) -> dict[int, dict[Monomial, int]]:
-    """The new series of the wanted signs of x_a after the Magnus generator
-    with image letters ``letters`` (of x_a), given the current series of the
-    letters it reads."""
-    new = {}
-    if len(letters) == 3:  # u x_a u^-1
-        u = letters[0]
-        for y in want:
-            uy = _bracket(current(u), current(y), cutoff)
-            new[y] = _mul_dicts(uy, current(-u), cutoff, dict(current(y)))
-    else:  # x_a p q p^-1 q^-1
-        p, q = letters[1], letters[2]
-        pq = _bracket(current(p), current(q), cutoff)
-        if a in want:
-            head = _product((current(a), pq, current(-p)), cutoff)
-            new[a] = _mul_dicts(head.items(), current(-q), cutoff, dict(current(a)))
-        if -a in want:
-            head = _product((pq, current(-q), current(-p)), cutoff)
-            new[-a] = _mul_dicts(head.items(), current(-a), cutoff, dict(current(-a)), -1)
-    return new
+def _displacements(phi: IAWord, cutoff: int) -> dict[int, dict[Monomial, int]]:
+    """The nonzero delta_i = S(phi(x_i)) - 1 - X_i, truncated, by index i.
 
-
-@lru_cache(maxsize=512)
-def _fresh_step(g: IAGenerator, want: tuple[int, ...], cutoff: int) -> tuple:
-    """``_step`` of g on plain letter series, which depends only on g, the
-    wanted signs and the cutoff: (sign, series) pairs.  The cached series are
-    tuples, so no caller can mutate them."""
-    new = _step(g.a, g.image_letters(), want, lambda v: _letter_series(v, cutoff), cutoff)
-    return tuple((y, tuple(_by_degree(terms))) for y, terms in new.items())
-
-
-def _substituted_series(phi: IAWord, cutoff: int) -> dict[int, Series]:
-    """The series of phi(x_j) for every j some generator of phi moves.
-
-    The Magnus map is multiplicative and (psi g)(x_a) = psi(g(x_a)), so along
-    phi = g_1...g_L the step of g_t replaces the series of x_a and of x_a^-1
-    by products of the current series of the letters of g_t(x_a).  A Magnus
-    generator sends x_a to a conjugate u x_a u^-1 or to x_a [p, q]; with
-    [A, B] = AB - BA the products are taken as
-
-        u y u^-1        = y + [u, y] u^-1               (y = x_a or x_a^-1)
-        x_a [p, q]      = x_a + x_a [p, q] p^-1 q^-1
-        (x_a [p, q])^-1 = x_a^-1 - [p, q] q^-1 p^-1 x_a^-1
-
-    whose correction terms start in degree 2, so the partial products never
-    carry the low-degree terms that cancel.  A backward pass first marks the
-    series a later step or the result reads; the others are never built.  A
-    step none of whose letters has been replaced yet reads only plain letter
-    series, and is taken from the ``_fresh_step`` memo.
+    Along phi = g_1...g_L, (psi g)(x_a) = psi(g(x_a)), and the Magnus map
+    sends psi to the substitution rho(psi): X_b -> X_b + delta_b.  So the
+    generator g moving x_a updates delta_a to delta_a + rho(psi)(delta_g) and
+    leaves every other delta as it is.  A monomial of delta_g of degree
+    cutoff, or one none of whose letters has moved, is its own image, since
+    every delta_b starts in degree 2; any other monomial X_b1...X_bm expands
+    to the truncated product of the X_bj + delta_bj.
     """
-    gens = phi.gens
-    live = {g.a for g in gens}
-    moved = set(live)
-    wanted = []
-    for g in reversed(gens):
+    delta: dict[int, dict[Monomial, int]] = {}
+    factors: dict[int, Series] = {}  # X_b + delta_b in nondecreasing degree
+
+    def factor(b: int) -> Series:
+        f = factors.get(b)
+        if f is None:
+            f = factors[b] = [((b,), 1)]
+            f += sorted(delta.get(b, {}).items(), key=lambda t: len(t[0]))
+        return f
+
+    for g in phi.gens:
         a = g.a
-        reads = {v for u in g.image_letters() if abs(u) != a for v in (u, -u)}
-        want = tuple(y for y in (a, -a) if y in live)
-        live -= {a, -a}
-        if want:
-            live |= reads
-            live.update(want)
-            reads.update(want)
-        wanted.append((want, reads))
-    wanted.reverse()
-
-    series: dict[int, Series] = {}
-
-    def current(v: int) -> Series:
-        found = series.get(v)
-        return _letter_series(v, cutoff) if found is None else found
-
-    for g, (want, reads) in zip(gens, wanted):
-        if not want:
-            continue
-        if series.keys().isdisjoint(reads):
-            series.update(_fresh_step(g, want, cutoff))
+        out = dict(delta.get(a, ()))
+        for m, c in _displacement(g, cutoff):
+            if len(m) < cutoff and not delta.keys().isdisjoint(m):
+                # the last factor has degree >= 1, so the others are read below the cutoff
+                head = _product([factor(b) for b in m[:-1]], cutoff - 1)
+                _mul_dicts(head.items(), factor(m[-1]), cutoff, out, c)
+                continue
+            v = out.get(m, 0) + c
+            if v:
+                out[m] = v
+            else:
+                del out[m]
+        factors.pop(a, None)
+        if out:
+            delta[a] = out
         else:
-            new = _step(g.a, g.image_letters(), want, current, cutoff)
-            series.update((y, _by_degree(terms)) for y, terms in new.items())
-    return {a: series[a] for a in moved}
+            delta.pop(a, None)
+    return delta
 
 
 def _least_depth(
@@ -303,35 +255,29 @@ def johnson_level(phi: FreeEndo | IAWord, cutoff: int) -> int | None:
     """Largest k < cutoff with every phi(x_i) x_i^-1 of depth >= k+1; None
     means the level is certified >= cutoff.  IA inputs always have level >= 1.
 
-    An ``IAWord`` is read by generator substitution (``_substituted_series``)
-    at cutoffs min(3, cutoff), ..., cutoff in turn (cutoff 2 alone when the
-    cutoff is 2): a depth d shows exactly at every cutoff >= d, so the first
-    cutoff that shows one gives the least depth, and a word of level >= k
-    never pays for the degrees above k + 1.  (Depth 2 shows at cutoff 3 too,
-    for little more than at cutoff 2.)  The depth of phi(x_i) x_i^-1 is the
-    least nonzero degree of S_i - 1 - X_i, where S_i is the series of
-    phi(x_i) (see the module docstring).  A ``FreeEndo`` must pass the IA
-    check, which an ``IAWord`` passes by construction; it is read at the full
-    cutoff by embedding each displaced image word letter by letter.
+    The depth of phi(x_i) x_i^-1 is the least degree of the displacement
+    delta_i = S_i - 1 - X_i, where S_i is the series of phi(x_i) (see the
+    module docstring).  An ``IAWord`` is read by folding displacement series
+    (``_displacements``), without realizing it, at cutoffs min(3, cutoff),
+    ..., cutoff in turn (cutoff 2 alone when the cutoff is 2): a depth d
+    shows exactly at every cutoff >= d, so the first cutoff that shows one
+    gives the least depth, and a word of level >= k never pays for the
+    degrees above k + 1.  Over the filtration elements, a start at 2 adds a
+    pass that shows nothing to every element of depth >= 3 (+20-50% at
+    k = 2 and 3), and a start at the cutoff pays for the degrees above a
+    depth that shows lower (about 3x at k = 2, cutoff 4); a start at 3 is
+    at most a third slower than the best start on each.  A ``FreeEndo``
+    must pass the IA check, which an ``IAWord`` passes by construction; it
+    is read at the full cutoff by embedding each displaced image word
+    letter by letter.
     """
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
     best: int | None = None
     if isinstance(phi, IAWord):
-
-        def depth(i: int, bound: int) -> int | None:
-            # the least degree of S_i - 1 - X_i; S_i is in nondecreasing degree
-            xi = (i,)
-            for m, c in series[i]:
-                if len(m) > bound:
-                    break
-                if m and (m != xi or c != 1):
-                    return len(m)
-            return None
-
         for limit in range(min(3, cutoff), cutoff + 1):
-            series = _substituted_series(phi, limit)
-            best = _least_depth(sorted(series), depth, limit)
+            delta = _displacements(phi, limit)
+            best = min((len(m) for d in delta.values() for m in d), default=None)
             if best is not None:
                 break
     else:

@@ -364,6 +364,55 @@ def test_normal_gens_k_below_one_refused(capsys, monkeypatch):
         main(["normal-gens", "--k", "1"])
 
 
+def test_normal_gens_cost_guard(capsys, monkeypatch):
+    forced = run_suite("normal-gens", {"k": 1, "n": 3, "budget": None, "force": True})
+    assert forced.parameters == {"k": 1, "n": 3, "budget": None}
+    assert forced.passed
+
+    class Started(Exception):
+        pass
+
+    def enumerate_gens(*args, **kwargs):
+        raise Started
+
+    monkeypatch.setattr(finc, "enumerate_normal_generators", enumerate_gens)
+    # realized letters min(|S|^k, budget) * 40^(k-1) / 2, |S| = n^2(n-1)/2:
+    # 4 at k = 1; 162000 at k = 2, n = 6, budget 8100; 20000 at k = 3,
+    # n = 9, budget 25 and 3.2 million at the default budget 4000; 48 million
+    # at k = 4, n = 12, budget 1500 and 51.2 million at budget 1600
+    cases = [
+        (["--k", "1"], True),
+        (["--k", "2", "--budget", "8100"], True),
+        (["--k", "3", "--budget", "25"], True),
+        (["--k", "3"], True),
+        (["--k", "4", "--n", "12", "--budget", "1500"], True),
+        (["--k", "4", "--n", "12", "--budget", "1600"], False),
+        (["--k", "4"], False),
+        (["--k", "5"], False),
+        (["--k", str(10**6)], False),
+    ]
+    for args, admitted in cases:
+        argv = ["normal-gens", *args]
+        if admitted:
+            with pytest.raises(Started):
+                main(argv)
+        else:
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert "realized letters" in err and "--force" in err and len(err) < 120, err
+    # only a refusal below k = 5 is forced: the enumeration is patched, but a
+    # k >= 5 run is never started on purpose
+    with pytest.raises(Started):
+        main(["normal-gens", "--k", "4", "--n", "12", "--budget", "1600", "--force"])
+    # the benchmark's calls pass keys the suite only echoes
+    for params in (
+        {"k": 2, "n": 6, "cutoff": 4, "budget": 8100, "jobs": 1},
+        {"k": 3, "n": 9, "cutoff": 5, "budget": 25, "jobs": 1},
+    ):
+        with pytest.raises(Started):
+            run_suite("normal-gens", params)
+
+
 def test_normal_gens_has_no_cutoff(tmp_path, capsys):
     for option, value in (("--cutoff", "4"), ("--jobs", "2")):
         with pytest.raises(SystemExit) as exc:

@@ -18,9 +18,9 @@ from lcsforge import magnus
 from lcsforge.finc import FIncIA, enumerate_normal_generators
 from lcsforge.magnus import (
     TruncatedSeries,
-    _fresh_step,
+    _displacement,
+    _displacements,
     _mul_dicts,
-    _substituted_series,
     expand_bracket,
     format_series,
     hall_basis,
@@ -271,59 +271,60 @@ def test_substitution_level_matches_letter_route():
                 full = min(found) - 1 if found else None
                 assert level == johnson_level(endo, cutoff) == full, w
                 levels.add(full)
-                series = _substituted_series(w, cutoff)
-                assert set(series) == {g.a for g in w.gens}
-                for i, terms in series.items():
-                    fixed = {(): 1, (i,): 1}
-                    assert dict(terms) == (images[i].as_dict() if i in images else fixed)
+                # delta_i = S(phi(x_i)) - 1 - X_i, stored only where nonzero
+                delta = _displacements(w, cutoff)
+                assert all(delta.values()) and all(c for d in delta.values() for c in d.values())
+                for i in range(1, rank + 1):
+                    want = images[i].as_dict() if i in images else {(): 1, (i,): 1}
+                    want[()] -= 1
+                    want[(i,)] = want.get((i,), 0) - 1
+                    assert delta.get(i, {}) == {m: c for m, c in want.items() if c}, (w, i)
     assert inverse_steps > 0
     assert {1, 2, 3, None} <= levels
 
 
-def k2_levels(budget):
-    """The k = 2 filtration elements at n = 6 with their levels at cutoff 4."""
-    out = enumerate_normal_generators(FIncIA(6), 2, budget=budget)
-    return [(w, johnson_level(w, 4)) for w in out]
+def filtration_words(n, k, budget):
+    return enumerate_normal_generators(FIncIA(n), k, budget=budget)
 
 
-def test_fresh_step_memo_is_exact_and_never_mutated(monkeypatch):
+def test_displacement_memo_is_exact_and_never_mutated(monkeypatch):
     random_words = [random_ia_word(random.Random(seed), 5, 6) for seed in range(40)]
-    k2_words = [w for w, _ in k2_levels(300)]
+    k2_words = filtration_words(6, 2, 300)
     cold = []
     for w in k2_words + random_words:
-        _fresh_step.cache_clear()
-        cold.append((johnson_level(w, 4), _substituted_series(w, 4)))
-    warm = [
-        (johnson_level(w, 4), _substituted_series(w, 4)) for w in k2_words + random_words
-    ]
+        _displacement.cache_clear()
+        cold.append((johnson_level(w, 4), _displacements(w, 4)))
+    warm = [(johnson_level(w, 4), _displacements(w, 4)) for w in k2_words + random_words]
     assert warm == cold
 
-    # the cached series are immutable, and a full k = 2 enumeration and level
-    # run leaves every entry as it was; the entries it adds equal a fresh step
+    # the cached series are immutable, a full k = 2 run at n = 6 (cutoffs 3
+    # and 4) or a C3 k = 3 run (cutoff 3) evicts none, and a warm run leaves
+    # every entry as it was, equal to a fresh build
     keys = set()
 
     def recording(*key):
         keys.add(key)
-        return _fresh_step(*key)
+        return _displacement(*key)
 
-    monkeypatch.setattr(magnus, "_fresh_step", recording)
-    _fresh_step.cache_clear()
-    k2_levels(300)
-    assert _fresh_step.cache_info().currsize == len(keys)
-    before = {key: _fresh_step(*key) for key in keys}
-    snapshot = copy.deepcopy(before)
-    for series in before.values():
-        assert isinstance(series, tuple)
-        assert all(isinstance(terms, tuple) for _, terms in series)
-    k2_levels(8100)
-    info = _fresh_step.cache_info()
-    assert info.currsize == len(keys) < info.maxsize  # nothing was evicted
-    for key in keys:
-        got = _fresh_step(*key)
-        assert got == _fresh_step.__wrapped__(*key)
-        if key in before:
+    monkeypatch.setattr(magnus, "_displacement", recording)
+    for n, k, budget, cutoff in ((6, 2, 8100, 4), (9, 3, None, 3)):
+        words = filtration_words(n, k, budget)
+        keys.clear()
+        _displacement.cache_clear()
+        levels = [johnson_level(w, cutoff) for w in words]
+        info = _displacement.cache_info()
+        assert info.currsize == info.misses == len(keys) < info.maxsize  # nothing was evicted
+        before = {key: _displacement(*key) for key in keys}
+        snapshot = copy.deepcopy(before)
+        for series in before.values():
+            assert isinstance(series, tuple)
+            assert all(isinstance(term, tuple) for term in series)
+        assert [johnson_level(w, cutoff) for w in words] == levels
+        assert _displacement.cache_info().misses == info.misses
+        for key in keys:
+            got = _displacement(*key)
             assert got is before[key] and got == snapshot[key]
-    assert _fresh_step.cache_info().hits == info.hits + len(keys)
+            assert got == _displacement.__wrapped__(*key)
 
 
 def test_witt_goldens():
