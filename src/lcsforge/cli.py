@@ -561,10 +561,10 @@ def suite_normal_gens(params: dict) -> SuiteReport:
         raise ValueError(f"normal-gens needs k >= 1, got {k}")
     n = params["n"] if params.get("n") else finc.GENERATION_DEGREE * k
     budget = params.get("budget")
-    # the enumeration realizes every sampled tuple's commutator, at most
-    # min(|S|^k, budget) tuples for the n^2(n-1)/2 Magnus generators S.  The
-    # largest mean over budgets 25-200 was 17, 284 and 30,882 letters per
-    # tuple at k = 2, 3 and 4 (n = 3k); 40^(k-1)/2 lies above each.
+    # the enumeration realizes the sampled tuples the support rule leaves
+    # open, at most min(|S|^k, budget) for the n^2(n-1)/2 Magnus generators
+    # S.  The largest mean over budgets 25-200 was 17, 284 and 30,882 letters
+    # per sampled tuple at k = 2, 3 and 4 (n = 3k); 40^(k-1)/2 lies above each.
     cap = finc.DEFAULT_TUPLE_BUDGET if budget is None else budget
     tuples = min((n * n * (n - 1) // 2) ** min(k, 64), cap)
     report = _admitted("normal-gens", params, [

@@ -12,6 +12,15 @@ central series term; ``support_completion`` gives any of them its
 deterministic size-3k index set.  The raw tuple space grows like |S|^k, so
 enumeration takes a budget: when the space is larger, tuples are taken on a
 deterministic evenly spaced stride through lexicographic order.
+
+The family's axiom, that disjointly supported subgroups commute, decides
+most trivial commutators without realizing them.  Let phi move only the
+indices M(phi), with images in the letters L(phi) >= M(phi).  If
+M(phi) & L(psi) and M(psi) & L(phi) are empty, then phi and psi commute:
+each fixes every letter the other uses, so both orders send x_i to
+psi(x_i) on M(psi), to phi(x_i) on M(phi) and to x_i elsewhere.  A
+generator s has M = {s.a} and L = s.indices, and [s, c] moves at most
+M(s) | M(c) and uses at most L(s) | L(c).
 """
 
 from __future__ import annotations
@@ -265,16 +274,45 @@ def support_completion(w: IAWord, k: int, n: int) -> tuple[int, ...]:
     return tuple(sorted(out[:size]))
 
 
+def _support_masks(gens: tuple[IAWord, ...]) -> list[tuple[int, int]]:
+    """(M(s), L(s)) of each one-generator word s as bitmasks: the index
+    s.a it moves and the letters s.indices its image uses."""
+    return [(1 << g.a, sum(1 << i for i in g.indices)) for (g,) in (s.gens for s in gens)]
+
+
+def _trivial_by_support(masks: list[tuple[int, int]], digits: list[int]) -> bool:
+    """Whether the left-normed commutator of the factors masks[r], for r in
+    digits from the innermost out, is 1 by supports: its innermost bracket
+    is [s, s], or some bracket [s, c] has M(s) & L(c) and M(c) & L(s) empty
+    (the module docstring), and every bracket around a 1 is 1."""
+    if digits[1:2] == digits[:1]:
+        return True
+    moved, used = masks[digits[0]]
+    for r in digits[1:]:
+        m, l = masks[r]
+        if not (m & used or moved & l):
+            return True
+        moved |= m
+        used |= l
+    return False
+
+
 def enumerate_normal_generators(
     family: FIncIA,
     k: int,
     budget: int | None = None,
 ) -> list[IAWord]:
     """Deduplicated left-normed length-k commutators of Magnus generators.
-    Identity realizations are dropped; within a budget smaller than the
-    |S|^k tuple space, tuples are stride-sampled in lexicographic order.
-    The words, of rank-n Magnus generators, are built unchecked and returned
-    unrealized; the realizations deciding identity and duplicates are dropped."""
+    Identities are dropped; within a budget smaller than the |S|^k tuple
+    space, tuples are stride-sampled in lexicographic order.
+
+    A tuple whose innermost bracket is [s, s], or one of whose brackets
+    [s, c] has M(s) & L(c) and M(c) & L(s) empty, is 1, since s and c then
+    fix every letter the other uses (the module docstring); it is skipped
+    with no word built.  Realization decides only the tuples this leaves
+    open, identity and duplicates exactly.  The words, of rank-n Magnus
+    generators, are built unchecked and returned unrealized; the
+    realizations are dropped."""
     if k < 1:
         raise ValueError("k must be >= 1")
     size = GENERATION_DEGREE * k
@@ -288,13 +326,16 @@ def enumerate_normal_generators(
     cap = DEFAULT_TUPLE_BUDGET if budget is None else budget
     step = 1 if total <= cap else -(-total // cap)  # ceil division
 
+    masks = _support_masks(gens)
     found = {}  # realized endomorphism -> generator tuple, in sampling order
     for flat in range(0, total, step):
-        digits = []
+        digits = []  # innermost factor first
         rem = flat
         for _ in range(k):
             rem, r = divmod(rem, g)
             digits.append(r)
+        if _trivial_by_support(masks, digits):
+            continue
         factors = [gens[r] for r in reversed(digits)]
         w = left_normed_commutator(factors)
         endo = w.realized

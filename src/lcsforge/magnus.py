@@ -177,14 +177,13 @@ def lcs_depth(w: Word, cutoff: int) -> int | None:
     return magnus_embed(w, cutoff).min_positive_degree()
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=4096)
 def _displacement(g: IAGenerator, cutoff: int) -> Series:
     """delta_g = S(g(x_a)) - 1 - X_a for the Magnus generator g moving x_a,
     truncated: g(x_a) x_a^-1 is a commutator, so delta_g starts in degree 2.
     It depends only on g and the cutoff; the cached series is a tuple, so no
-    caller can mutate it.  The bound holds the 648 signed generators at
-    n = 9 and the 180 at n = 6, one cutoff each, as a filtration pass reads
-    them."""
+    caller can mutate it.  The bound holds the 1,584 signed generators at
+    n = 12 at the two ladder cutoffs a k = 4 level reads, 3,168 entries."""
     terms = _product([_letter_series(v, cutoff) for v in g.image_letters()], cutoff)
     del terms[()], terms[(g.a,)]
     return tuple(terms.items())

@@ -1,3 +1,4 @@
+import functools
 import gc
 import json
 import random
@@ -411,6 +412,36 @@ def test_normal_gens_cost_guard(capsys, monkeypatch):
     ):
         with pytest.raises(Started):
             run_suite("normal-gens", params)
+
+
+def test_normal_gens_estimate_bounds_realized_letters(monkeypatch):
+    # the guard's estimate is at least the letters IAWord.realized produces
+    letters = []
+    realize = autom.IAWord.__dict__["realized"].func
+
+    def counting(w):
+        endo = realize(w)
+        letters.append(sum(len(img) for _, img in endo.images))
+        return endo
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(autom.IAWord, "realized")
+    monkeypatch.setattr(autom.IAWord, "realized", prop)
+    rows = []
+    admitted = cli._admitted
+
+    def recording(suite, params, costs):
+        rows.extend(costs)
+        return admitted(suite, params, costs)
+
+    monkeypatch.setattr(cli, "_admitted", recording)
+    for params in ({"k": 2, "n": 6, "budget": 300}, {"k": 3, "n": 9, "budget": 25}):
+        letters.clear()
+        rows.clear()
+        assert run_suite("normal-gens", params).passed
+        [(what, estimate, _)] = rows
+        assert what == "realized letters"
+        assert 0 < sum(letters) <= estimate, (params, sum(letters), estimate)
 
 
 def test_normal_gens_has_no_cutoff(tmp_path, capsys):

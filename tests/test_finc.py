@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -13,6 +15,7 @@ from lcsforge.autom import (
     invert_ia,
     is_identity,
 )
+from lcsforge import finc
 from lcsforge.finc import (
     DEFAULT_TUPLE_BUDGET,
     FIncIA,
@@ -28,6 +31,8 @@ from lcsforge.finc import (
     magnus_generators,
     subgroup_generators,
     support_completion,
+    _support_masks,
+    _trivial_by_support,
 )
 from lcsforge.magnus import johnson_level
 
@@ -245,3 +250,77 @@ def test_left_normed_commutator_matches_fold_and_caches_hold():
     assert checked > 1000
     with pytest.raises(RankMismatch):
         left_normed_commutator([ia_word(3, [conj(1, 2)]), ia_word(4, [conj(1, 2)])])
+
+
+def test_support_rule_sound_and_complete_at_k2():
+    # every one of the 90^2 tuples at n = 6: the rule skips exactly the
+    # identities, 90 as [s, s] and 3000 by disjoint moved/used letters
+    gens = magnus_generators(FIncIA(6))
+    masks = _support_masks(gens)
+    counts = Counter()
+    for outer, inner in product(range(len(gens)), repeat=2):
+        skipped = _trivial_by_support(masks, [inner, outer])
+        w = left_normed_commutator([gens[outer], gens[inner]])
+        assert skipped == is_identity(w.realized), format_token(w)
+        counts[skipped, outer == inner] += 1
+    assert counts == {(True, True): 90, (True, False): 3000, (False, False): 5010}
+
+
+def test_support_rule_sound_on_seeded_tuples():
+    # k = 3 and 4 at ranks 5-9, with a neighbouring factor repeated in a
+    # quarter of the tuples, so [s, [s, c]] shapes are drawn too
+    rng = random.Random(20261021)
+    counts = Counter()
+    for k in (3, 4):
+        for _ in range(400):
+            gens = magnus_generators(FIncIA(rng.randint(5, 9)))
+            digits = [rng.randrange(len(gens)) for _ in range(k)]
+            if rng.random() < 0.25:
+                i = rng.randrange(k - 1)
+                digits[i] = digits[i + 1]
+            skipped = _trivial_by_support(_support_masks(gens), digits)
+            counts[k, skipped] += 1
+            if skipped:
+                w = left_normed_commutator([gens[r] for r in reversed(digits)])
+                assert is_identity(w.realized), format_token(w)
+    assert all(counts[k, flag] > 100 for k in (3, 4) for flag in (True, False)), counts
+
+
+def reference_enumeration(n, k, budget):
+    """Tokens of the stride sample with every tuple realized: identities
+    and duplicates dropped by their realizations alone."""
+    gens = magnus_generators(FIncIA(n))
+    total = len(gens) ** k
+    cap = DEFAULT_TUPLE_BUDGET if budget is None else budget
+    step = 1 if total <= cap else -(-total // cap)
+    found = {}
+    for flat in range(0, total, step):
+        factors = []
+        for _ in range(k):
+            flat, r = divmod(flat, len(gens))
+            factors.insert(0, gens[r])
+        w = left_normed_commutator(factors)
+        found.setdefault(w.realized, format_token(w))
+    found.pop(IAWord(n).realized, None)
+    return list(found.values())
+
+
+def test_enumeration_matches_reference_that_realizes_every_tuple(monkeypatch):
+    built = []
+
+    def counting(factors):
+        built.append(factors)
+        return left_normed_commutator(factors)
+
+    monkeypatch.setattr(finc, "left_normed_commutator", counting)
+    for n, k, budget, realized in (
+        (3, 1, None, 9),
+        (6, 2, 8100, 5010),
+        (9, 3, 25, 11),
+        (9, 3, 300, 91),
+    ):
+        built.clear()
+        got = [format_token(w) for w in enumerate_normal_generators(FIncIA(n), k, budget)]
+        assert got == reference_enumeration(n, k, budget), (n, k, budget)
+        # only the tuples the support rule leaves open are built and realized
+        assert len(built) == realized, (n, k, budget)

@@ -15,7 +15,7 @@ from lcsforge.autom import (
     invert_ia,
 )
 from lcsforge import magnus
-from lcsforge.finc import FIncIA, enumerate_normal_generators
+from lcsforge.finc import FIncIA, enumerate_normal_generators, magnus_generators
 from lcsforge.magnus import (
     TruncatedSeries,
     _displacement,
@@ -325,6 +325,14 @@ def test_displacement_memo_is_exact_and_never_mutated(monkeypatch):
             got = _displacement(*key)
             assert got is before[key] and got == snapshot[key]
             assert got == _displacement.__wrapped__(*key)
+
+
+def test_displacement_bound_holds_k4_levels():
+    # a k = 4 level at n = 12 reads each signed generator at the ladder
+    # cutoffs 3 and 4, so a bound below 2 x 1,584 would evict
+    signed = 2 * len(magnus_generators(FIncIA(12)))
+    assert signed == 1584
+    assert _displacement.cache_info().maxsize >= 2 * signed
 
 
 def test_witt_goldens():
