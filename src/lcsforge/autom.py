@@ -483,6 +483,8 @@ def transvection_lift(rank: int, a: int, b: int, sign: int = 1) -> AutWitness:
     """x_a -> x_a x_b^sign, everything else fixed."""
     if a == b:
         raise ValueError("transvection needs distinct indices")
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
     fwd = free_endo(rank, {a: word([a, sign * b])})
     inv = free_endo(rank, {a: word([a, -sign * b])})
     return AutWitness(fwd, inv)

@@ -2,9 +2,10 @@
 certificates, and a right-angled Artin group subsystem serving as the
 independent oracle.
 
-A character assigns a rational to each vertex generator 1..n of a RAAG and
-stores the values in vertex order.  ``kmm_check`` verifies three hypotheses
-(survival, connected commutation graph, domination) against a
+A character is a plain tuple of ``Fraction``s: its value on each vertex
+generator 1..n of a RAAG, in vertex order.  ``character`` builds one from a
+mapping keyed by exactly those vertices.  ``kmm_check`` verifies three
+hypotheses (survival, connected commutation graph, domination) against a
 caller-supplied group context and returns either a certificate whose fields
 re-validate independently, or a structured failure.  The fourth hypothesis,
 that B generates the group, is the caller's precondition: the one caller
@@ -36,7 +37,6 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "GRID",
-    "Character",
     "character",
     "RAAGPresentation",
     "raag",
@@ -63,34 +63,13 @@ __all__ = [
 GRID = (-1, 0, 1, 2)
 
 
-class Character:
-    """Rational values on the vertex generators 1..n, in vertex order, of a
-    homomorphism to the additive rationals; no caller assigns to them."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: tuple[Fraction, ...]) -> None:
-        self.values = values
-
-    def __eq__(self, other) -> bool:
-        return other.__class__ is self.__class__ and self.values == other.values
-
-    def value(self, v: int) -> Fraction:
-        if v < 1:
-            raise IndexError(f"vertex {v} out of range")
-        return self.values[v - 1]
-
-    def is_zero(self) -> bool:
-        return not any(self.values)
-
-
-def character(values: Mapping[int, Fraction | int]) -> Character:
-    """The character with the given value on each vertex; the keys must be
-    exactly the vertices 1..n."""
+def character(values: Mapping[int, Fraction | int]) -> tuple[Fraction, ...]:
+    """The character with the given value on each vertex, as its values in
+    vertex order; the keys must be exactly the vertices 1..n."""
     n = len(values)
     if set(values) != set(range(1, n + 1)):
         raise ValueError(f"character keys must be the vertices 1..{n}: {list(values)}")
-    return Character(tuple(Fraction(values[v]) for v in range(1, n + 1)))
+    return tuple(Fraction(values[v]) for v in range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +232,14 @@ class RAAGContext:
             self._commute_cache[key] = hit
         return hit
 
-    def char_values(self, char: Character, ws: Sequence[RAAGWord]) -> list[Fraction]:
+    def char_values(
+        self, char: tuple[Fraction, ...], ws: Sequence[RAAGWord]
+    ) -> list[Fraction]:
         """The character's value on each word, indexing its vertex values;
         each sum starts from its first term (0 for the empty word)."""
-        vals = char.values
         out = []
         for w in ws:
-            terms = [vals[v - 1] if v > 0 else -vals[-v - 1] for v in w.letters]
+            terms = [char[v - 1] if v > 0 else -char[-v - 1] for v in w.letters]
             out.append(sum(terms[1:], terms[0]) if terms else 0)
         return out
 
@@ -314,7 +294,7 @@ def _spanning_tree(
 
 def kmm_check(
     ctx,
-    char: Character,
+    char: tuple[Fraction, ...],
     a_elements: Sequence,
     b_elements: Sequence,
 ) -> KMMCertificate | KMMFailure:
@@ -322,7 +302,7 @@ def kmm_check(
     certificate semantically asserts the character's class lies in the BNS
     invariant.  The caller guarantees that B generates the group (every
     vertex generator of a RAAG does)."""
-    if char.is_zero():
+    if not any(char):
         return KMMFailure("zero-character")
     if not a_elements:
         return KMMFailure("empty-A")
@@ -358,10 +338,10 @@ def kmm_check(
 
 
 def certificate_revalidate(
-    cert: KMMCertificate, ctx, char: Character
+    cert: KMMCertificate, ctx, char: tuple[Fraction, ...]
 ) -> bool:
     """Re-verify every certificate field from scratch."""
-    if char.is_zero() or not cert.a_elements:
+    if not any(char) or not cert.a_elements:
         return False
     recorded = dict(cert.survival)
     for i, v in enumerate(ctx.char_values(char, cert.a_elements)):
@@ -389,14 +369,13 @@ def certificate_revalidate(
 # The living-subgraph oracle and the cross-validation sweep
 
 
-def mv_oracle(g: RAAGPresentation, char: Character) -> bool:
+def mv_oracle(g: RAAGPresentation, char: tuple[Fraction, ...]) -> bool:
     """Living-subgraph membership criterion for RAAG characters: the
     subgraph induced on vertices with nonzero value is connected, and every
     zero vertex is adjacent to a nonzero one."""
-    vals = char.values
-    if len(vals) != g.n_vertices:
-        raise ValueError(f"character has {len(vals)} values, graph {g.n_vertices} vertices")
-    living = [v for v in g.vertices() if vals[v - 1] != 0]
+    if len(char) != g.n_vertices:
+        raise ValueError(f"character has {len(char)} values, graph {g.n_vertices} vertices")
+    living = [v for v in g.vertices() if char[v - 1] != 0]
     if not living:
         raise ValueError("mv_oracle needs a nonzero character")
     seen = {living[0]}
@@ -411,7 +390,7 @@ def mv_oracle(g: RAAGPresentation, char: Character) -> bool:
     if seen != live:
         return False
     for v in g.vertices():
-        if vals[v - 1] == 0 and not any(g.adjacent(v, u) for u in living):
+        if char[v - 1] == 0 and not any(g.adjacent(v, u) for u in living):
             return False
     return True
 
@@ -448,7 +427,7 @@ class SweepReport(NamedTuple):
 
 
 def soundness_sweep(
-    g: RAAGPresentation, chars: Iterable[Character]
+    g: RAAGPresentation, chars: Iterable[tuple[Fraction, ...]]
 ) -> SweepReport:
     """The per-character reference route, for arbitrary characters.
 
@@ -470,8 +449,7 @@ def soundness_sweep(
     verdicts: dict[tuple[bool, ...], tuple[bool, bool, str | None]] = {}
     records = []
     for char in chars:
-        row = char.values
-        support = tuple(v != 0 for v in row)
+        support = tuple(v != 0 for v in char)
         if not any(support):
             continue
         verdict = verdicts.get(support)
@@ -484,7 +462,7 @@ def soundness_sweep(
                 None if outcome.ok else outcome.reason,
             )
             verdicts[support] = verdict
-        records.append(SweepRecord(row, *verdict))
+        records.append(SweepRecord(char, *verdict))
     return SweepReport(tuple(records))
 
 
@@ -527,10 +505,8 @@ def all_graphs(n_vertices: int) -> Iterable[RAAGPresentation]:
 
 def character_grid(
     n_vertices: int, values: Sequence[int] = GRID
-) -> Iterable[Character]:
+) -> Iterable[tuple[Fraction, ...]]:
     """All characters with each vertex value drawn from the given grid, in
-    lexicographic order of their values (in grid order).  Nothing is built
-    before the first character is asked for."""
-    grid = [Fraction(x) for x in values]
-    for combo in product(grid, repeat=n_vertices):
-        yield Character(combo)
+    lexicographic order of their values (in grid order).  ``product`` is
+    lazy, so nothing is built before the first character is asked for."""
+    return product([Fraction(x) for x in values], repeat=n_vertices)

@@ -397,7 +397,7 @@ def _all_transvection_lifts(n: int):
                     yield autom.transvection_lift(n, a, b, sign)
 
 
-def sample_functionals(n: int, count: int, seed: int) -> list[johnson.H1Functional]:
+def sample_functionals(n: int, count: int, seed: int) -> list[johnson.H1Vector]:
     """Deterministic pseudo-random rational functionals: each coordinate is
     nonzero with probability 1/2, drawn from a small symmetric rational set."""
     rng = random.Random(seed)
@@ -413,14 +413,14 @@ def sample_functionals(n: int, count: int, seed: int) -> list[johnson.H1Function
         coords = {
             k: rng.choice(pool) for k in keys if rng.random() < 0.5
         }
-        lam = johnson.h1_functional(n, coords)
+        lam = johnson.h1_vector(n, coords)
         if not lam.is_zero():
             out.append(lam)
     return out
 
 
 def _revalidate_tilt(
-    lam: johnson.H1Functional, result: johnson.TiltResult, n: int, s: int
+    lam: johnson.H1Vector, result: johnson.TiltResult, n: int, s: int
 ) -> bool:
     """Independent re-check of a witness: the forward action of the returned
     matrix on basis vectors, with its inverse from exact elimination, and the

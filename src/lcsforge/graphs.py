@@ -186,7 +186,7 @@ def disjointness_path(
     no path exists."""
     a = tuple(sorted(start))
     b = tuple(sorted(goal))
-    if len(a) != m or len(b) != m:
+    if {len(a), len(set(a)), len(b), len(set(b))} != {m}:
         raise ValueError("endpoints are not m-subsets")
     if any(not 1 <= i <= n for i in a + b):
         raise ValueError("endpoints escape the ground set")

@@ -8,8 +8,9 @@ The map ``tau`` reads the degree-2 leading term of the Magnus series of
 (Magnus-Karrass-Solitar, ch. 5), in one pass over the letters; no series is
 built.  Unimodular integer matrices act by inverse-transpose on the dual
 slot and by the wedge square of the standard action on the wedge slot, so
-tau and the action stay in the integers; only functionals (the tilt
-search's inputs) carry denominators.
+tau and the action stay in the integers.  A functional is an ``H1Vector``
+too, paired coordinatewise against the same basis; only functionals (the
+tilt search's inputs) carry denominators.
 
 ``tilt_search`` replaces a density existence argument with an honest bounded
 breadth-first search over words in elementary matrices: it either exhibits a
@@ -32,11 +33,9 @@ from .autom import AutWitness, FreeEndo, abelianized_matrix
 
 __all__ = [
     "H1Vector",
-    "H1Functional",
     "h1_dimension",
     "h1_basis_keys",
     "h1_vector",
-    "h1_functional",
     "h1_add",
     "pairing",
     "tau",
@@ -107,29 +106,8 @@ class H1Vector:
         return [d.get(k, 0) for k in h1_basis_keys(self.n)]
 
 
-class H1Functional:
-    """Dual-side coordinates against the same basis; pairing is the
-    coordinatewise sum of products; no caller assigns to them."""
-
-    __slots__ = ("n", "coords")
-
-    def __init__(self, n: int, coords: Coords = ()) -> None:
-        self.n = n
-        self.coords = coords
-
-    def as_dict(self) -> dict[Key, Value]:
-        return dict(self.coords)
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
-
 def h1_vector(n: int, coords: Mapping[Key, Value]) -> H1Vector:
     return H1Vector(n, _normalize(n, coords))
-
-
-def h1_functional(n: int, coords: Mapping[Key, Value]) -> H1Functional:
-    return H1Functional(n, _normalize(n, coords))
 
 
 def h1_add(u: H1Vector, v: H1Vector) -> H1Vector:
@@ -141,7 +119,7 @@ def h1_add(u: H1Vector, v: H1Vector) -> H1Vector:
     return h1_vector(u.n, out)
 
 
-def pairing(lam: H1Functional, v: H1Vector) -> Fraction:
+def pairing(lam: H1Vector, v: H1Vector) -> Fraction:
     if lam.n != v.n:
         raise ValueError("rank mismatch")
     vd = v.as_dict()
@@ -353,7 +331,7 @@ def _pullback_kernels(n: int) -> tuple[tuple[Move, Callable[[H1Vector], H1Vector
 
 
 def tilt_search(
-    lam: H1Functional, n: int, subset_size: int, budget: int
+    lam: H1Vector, n: int, subset_size: int, budget: int
 ) -> TiltResult:
     """Breadth-first search over words of length <= budget in the elementary
     matrices E_ij(+-1) for the first word, shortest first and then in move

@@ -1,7 +1,8 @@
 """Freely reduced words over an indexed generator alphabet.
 
-A letter is a signed integer: ``+i`` is the generator ``x_i`` (``i >= 1``)
-and ``-i`` is its inverse.  Every ``Word`` is stored freely reduced, so group
+A letter is a nonzero ``int``: ``+i`` is the generator ``x_i`` (``i >= 1``)
+and ``-i`` is its inverse; ``word`` and ``reduce_letters`` refuse any other
+type rather than coerce it.  Every ``Word`` is stored freely reduced, so group
 equality is plain tuple equality.  The commutator convention throughout is
 ``[a, b] = a b a^-1 b^-1``.
 
@@ -13,10 +14,9 @@ is a plain class that hashes by its letters, so words key tables.
 from __future__ import annotations
 
 import re
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable
 
 __all__ = [
-    "GeneratorSymbol",
     "Word",
     "EPSILON",
     "word",
@@ -30,27 +30,10 @@ __all__ = [
 ]
 
 
-class GeneratorSymbol(NamedTuple):
-    """A single letter: generator index (>= 1) and sign (+1 or -1)."""
-
-    index: int
-    sign: int
-
-
-Letter = Union[int, GeneratorSymbol]
-
-
-def _encode(letter: Letter) -> int:
-    if isinstance(letter, GeneratorSymbol):
-        if letter.index < 1:
-            raise ValueError(f"generator index must be >= 1, got {letter.index}")
-        if letter.sign not in (1, -1):
-            raise ValueError(f"generator sign must be +1 or -1, got {letter.sign}")
-        return letter.index * letter.sign
-    v = int(letter)
-    if v == 0:
-        raise ValueError("0 is not a valid signed letter")
-    return v
+def _encode(letter: int) -> int:
+    if type(letter) is not int or not letter:
+        raise ValueError(f"a letter is a nonzero int, got {letter!r}")
+    return letter
 
 
 def _reduce(pieces: Iterable[Iterable[int]]) -> tuple[int, ...]:
@@ -66,7 +49,7 @@ def _reduce(pieces: Iterable[Iterable[int]]) -> tuple[int, ...]:
     return tuple(stack)
 
 
-def reduce_letters(letters: Iterable[Letter]) -> tuple[int, ...]:
+def reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
     """Freely reduce a letter sequence; the result has no adjacent v, -v pair."""
     return _reduce((map(_encode, letters),))
 
@@ -115,9 +98,9 @@ class Word:
 EPSILON = Word()
 
 
-def word(letters: Iterable[Letter]) -> Word:
+def word(letters: Iterable[int]) -> Word:
     """Reduce an arbitrary letter sequence into a Word; ``_encode`` rejects
-    zero letters and ``_reduce`` leaves no adjacent inverse pair."""
+    any letter but a nonzero int and ``_reduce`` leaves no adjacent inverse pair."""
     return Word._of(reduce_letters(letters))
 
 

@@ -444,3 +444,8 @@ def test_lift_constructors():
     assert is_identity(compose(sp.fwd, sp.inv))
     with pytest.raises(ValueError):
         signed_permutation_lift(3, (1, 1, 2))
+    assert transvection_lift(5, 1, 2, sign=-1).fwd.image(1) == word([1, -2])
+    # sign 2 would lift x_1 -> x_1 x_4, and 0 would build the letter 0
+    for sign in (2, 0, -2):
+        with pytest.raises(ValueError, match="sign must be"):
+            transvection_lift(5, 1, 2, sign=sign)

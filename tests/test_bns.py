@@ -6,6 +6,7 @@ import pytest
 
 from lcsforge import bns
 from lcsforge.bns import (
+    GRID,
     KMMCertificate,
     KMMFailure,
     RAAGContext,
@@ -96,16 +97,15 @@ def test_graph_file_roundtrip():
 
 
 def test_character_keys_are_the_vertices():
-    """A character takes exactly the vertices 1..n as keys, stores their
-    values in vertex order, and the oracle refuses one of the wrong length."""
+    """A character takes exactly the vertices 1..n as keys, is the tuple of
+    their values in vertex order, and the oracle refuses one of the wrong
+    length."""
     lam = character({2: Fraction(5, 3), 1: 0, 3: -2})
-    assert lam.values == (0, Fraction(5, 3), -2)
-    assert all(type(x) is Fraction for x in lam.values)
-    assert lam.value(2) == Fraction(5, 3)
-    assert not lam.is_zero() and character({1: 0, 2: 0}).is_zero()
-    with pytest.raises(IndexError):
-        lam.value(0)
-    assert character({}).values == ()
+    assert lam == (0, Fraction(5, 3), -2) and type(lam) is tuple
+    assert all(type(x) is Fraction for x in lam)
+    assert lam[1] == Fraction(5, 3)  # the value on vertex 2
+    assert any(lam) and not any(character({1: 0, 2: 0}))
+    assert character({}) == ()
     for keys in ([1, 3], [0, 1], [2], ["a", "b"], [1, 2, 4]):
         with pytest.raises(ValueError):
             character({k: 1 for k in keys})
@@ -158,9 +158,8 @@ def test_kmm_failure_modes():
 def char_values_by_fraction_sums(char, ws):
     """The sums char_values replaced, kept as the reference: each started
     from Fraction(0)."""
-    vals = char.values
     return [
-        sum((vals[abs(v) - 1] if v > 0 else -vals[abs(v) - 1] for v in w.letters), Fraction(0))
+        sum((char[abs(v) - 1] if v > 0 else -char[abs(v) - 1] for v in w.letters), Fraction(0))
         for w in ws
     ]
 
@@ -228,7 +227,7 @@ def test_free_pair_has_empty_invariant():
 
 
 def _support(char, g):
-    return tuple(char.value(v) != 0 for v in g.vertices())
+    return tuple(char[v - 1] != 0 for v in g.vertices())
 
 
 def test_soundness_sweep_matches_per_character_route(monkeypatch):
@@ -270,13 +269,13 @@ def test_soundness_sweep_matches_per_character_route(monkeypatch):
         everything = [raag_word([v]) for v in g.vertices()]
         expected = []
         for char in chars:
-            if char.is_zero():
+            if not any(char):
                 continue
-            living = [raag_word([v]) for v in g.vertices() if char.values[v - 1] != 0]
+            living = [raag_word([v]) for v in g.vertices() if char[v - 1] != 0]
             out = kmm_check(ctx, char, living, everything)
             expected.append(
                 SweepRecord(
-                    tuple(char.values[v - 1] for v in g.vertices()),
+                    tuple(char[v - 1] for v in g.vertices()),
                     out.ok,
                     mv_oracle(g, char),
                     None if out.ok else out.reason,
@@ -284,7 +283,7 @@ def test_soundness_sweep_matches_per_character_route(monkeypatch):
             )
             reasons.add(expected[-1].failure_reason)
         assert report.records == tuple(expected)
-        supports = {_support(c, g) for c in chars if not c.is_zero()}
+        supports = {_support(c, g) for c in chars if any(c)}
         for name in ("kmm", "oracle"):
             assert len(calls[name]) == len(supports)
             assert set(calls[name]) == supports
@@ -310,7 +309,7 @@ def test_grid_sweep_matches_per_character_route(monkeypatch):
     def counted_oracle(g, char):
         calls["oracle"].append(_support(char, g))
         # the lie: no support that contains vertex 1 passes
-        return real_oracle(g, char) and not (lying[0] and char.value(1) != 0)
+        return real_oracle(g, char) and not (lying[0] and char[0] != 0)
 
     monkeypatch.setattr(bns, "kmm_check", counted_kmm)
     monkeypatch.setattr(bns, "mv_oracle", counted_oracle)
@@ -355,7 +354,17 @@ def test_character_grid_matches_character():
             for combo in product(values, repeat=n)
         ]
         assert got == want
-        assert all(type(x) is Fraction for ch in got for x in ch.values)
+        assert all(type(ch) is tuple for ch in got)
+        assert all(type(x) is Fraction for ch in got for x in ch)
+
+
+def test_character_grid_is_lazy():
+    """The grid is never materialized: the first of the 4^64 characters
+    on 64 vertices comes at once, and the next follows in grid order."""
+    grid = iter(character_grid(64))
+    low, zero = Fraction(GRID[0]), Fraction(GRID[1])
+    assert next(grid) == (low,) * 64
+    assert next(grid) == (low,) * 63 + (zero,)
 
 
 def test_all_graphs_count():

@@ -149,6 +149,17 @@ def test_unchecked_constructors_match_validating_ones(monkeypatch):
     assert validated == unchecked
 
 
+def test_sampled_functionals_compare_by_value():
+    """A sampled functional is an ``H1Vector``: it equals ``h1_vector`` of
+    its own coordinates, and differs from one with a coordinate changed."""
+    n = 4
+    for lam in cli.sample_functionals(n, 20, 1):
+        assert type(lam) is johnson.H1Vector
+        assert lam == johnson.h1_vector(n, lam.as_dict())
+        (key, val), *_ = lam.coords
+        assert lam != johnson.h1_vector(n, {**lam.as_dict(), key: val + 1})
+
+
 def test_revalidate_tilt_matches_per_vector_action():
     """One action kernel per witness gives the verdicts of one glnz_action
     call per basis vector: on the n = 4, seed 1 sample with its found
@@ -178,7 +189,7 @@ def test_revalidate_tilt_matches_per_vector_action():
         for _ in range(rng.randint(1, 3)):
             i, j = rng.sample(range(1, n + 1), 2)
             m = johnson.mat_mul(m, johnson.elementary_matrix(n, i, j, rng.choice((1, -1))))
-        results.append((johnson.h1_functional(n, coords), johnson.TiltResult(True, matrix=m)))
+        results.append((johnson.h1_vector(n, coords), johnson.TiltResult(True, matrix=m)))
     verdicts = [cli._revalidate_tilt(lam, res, n, s) for lam, res in results]
     assert verdicts == [
         res.found and per_vector(lam, res.matrix) for lam, res in results

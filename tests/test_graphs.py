@@ -173,6 +173,14 @@ def test_path_rejects_bad_endpoints():
         disjointness_path(5, 2, (1, 2, 3), (1, 2))
     with pytest.raises(ValueError):
         disjointness_path(5, 2, (1, 6), (1, 2))
+    # a repeated index makes a tuple of length m that is not an m-subset
+    for n, m, a, b in [
+        (5, 2, (1, 1), (1, 2)),
+        (5, 2, (1, 2), (3, 3)),
+        (7, 3, (1, 2, 2), (4, 5, 6)),
+    ]:
+        with pytest.raises(ValueError, match="endpoints are not m-subsets"):
+            disjointness_path(n, m, a, b)
 
 
 def test_two_step_general_mode():

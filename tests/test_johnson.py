@@ -29,7 +29,6 @@ from lcsforge.johnson import (
     h1_add,
     h1_basis_keys,
     h1_dimension,
-    h1_functional,
     h1_vector,
     mat_identity,
     mat_inverse_unimodular,
@@ -524,20 +523,20 @@ def test_subspace_conjugation_covariance():
 
 
 def test_tilt_identity_when_dense():
-    lam = h1_functional(3, {k: 1 for k in h1_basis_keys(3)})
+    lam = h1_vector(3, {k: 1 for k in h1_basis_keys(3)})
     res = tilt_search(lam, 3, 2, 2)
     assert res.found and res.moves == ()
 
 
 def test_tilt_single_subspace():
-    lam = h1_functional(3, {(2, 1, 3): Fraction(3, 7)})
+    lam = h1_vector(3, {(2, 1, 3): Fraction(3, 7)})
     res = tilt_search(lam, 3, 3, 2)
     assert res.found and res.moves == ()
 
 
 def test_tilt_spec_example():
     # vanishes identically on the subspace for {1,2,3}
-    lam = h1_functional(4, {(4, 1, 2): 1})
+    lam = h1_vector(4, {(4, 1, 2): 1})
     res = tilt_search(lam, 4, 3, 3)
     assert res.found
     assert 1 <= len(res.moves) <= 3
@@ -550,7 +549,7 @@ def test_tilt_spec_example():
 
 
 def test_tilt_exhaustion_reported():
-    lam = h1_functional(4, {(4, 1, 2): 1})
+    lam = h1_vector(4, {(4, 1, 2): 1})
     res = tilt_search(lam, 4, 3, 0)  # identity only: restriction vanishes
     assert not res.found
     assert res.matrix is None
@@ -560,10 +559,10 @@ def test_tilt_exhaustion_reported():
 @pytest.mark.parametrize(
     "lam, n, size, message",
     [
-        (h1_functional(4, {}), 4, 3, "needs a nonzero functional"),
-        (h1_functional(4, {(4, 1, 2): 1}), 4, 1, r"subset size 1 outside 2\.\.4"),
-        (h1_functional(4, {(4, 1, 2): 1}), 4, 5, r"subset size 5 outside 2\.\.4"),
-        (h1_functional(3, {(3, 1, 2): 1}), 4, 3, "functional rank mismatch"),
+        (h1_vector(4, {}), 4, 3, "needs a nonzero functional"),
+        (h1_vector(4, {(4, 1, 2): 1}), 4, 1, r"subset size 1 outside 2\.\.4"),
+        (h1_vector(4, {(4, 1, 2): 1}), 4, 5, r"subset size 5 outside 2\.\.4"),
+        (h1_vector(3, {(3, 1, 2): 1}), 4, 3, "functional rank mismatch"),
     ],
     ids=["zero-functional", "subset-size-below-2", "subset-size-above-n", "rank-mismatch"],
 )
@@ -576,7 +575,7 @@ def test_tilt_search_uses_no_elimination_or_pairing(monkeypatch):
     """The search pulls functionals back through the action kernels alone,
     so the elimination inverse and the rational pairing stay a separate
     route for re-validating its witnesses."""
-    lam = h1_functional(4, {(4, 1, 2): 1})
+    lam = h1_vector(4, {(4, 1, 2): 1})
     want = tilt_search(lam, 4, 3, 2)
     assert len(want.moves) == 2
 
@@ -600,7 +599,7 @@ def test_pullback_is_the_action_of_the_transpose():
             m = random_unimodular(rng, n, 6)
             minv = mat_inverse_unimodular(m)
             v = random_fraction_h1_vector(rng, n)
-            lam = h1_functional(n, v.as_dict())
+            lam = h1_vector(n, v.as_dict())
             pulled = glnz_action(tuple(zip(*m)), v, tuple(zip(*minv))).as_dict()
             for key in keys:
                 moved = glnz_action(m, h1_vector(n, {key: 1}), minv)
@@ -646,7 +645,7 @@ def test_tilt_search_matches_brute_force():
                 k: Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
                 for k in rng.sample(keys, rng.randint(1, min(3, len(keys))))
             }
-            lam = h1_functional(n, coords)
+            lam = h1_vector(n, coords)
             size = rng.randint(2, n)
             res = tilt_search(lam, n, size, budget)
             assert tuple(res) == tilt_by_brute_force(lam, n, size, budget)

@@ -13,9 +13,9 @@ from pathlib import Path
 import pytest
 
 from lcsforge.autom import FreeEndo, IAGenerator, IAWord, comm_move, conj
-from lcsforge.bns import Character, RAAGPresentation, RAAGWord
+from lcsforge.bns import RAAGPresentation, RAAGWord
 from lcsforge.graphs import UGraph
-from lcsforge.johnson import H1Functional, H1Vector
+from lcsforge.johnson import H1Vector
 from lcsforge.magnus import TruncatedSeries
 from lcsforge.words import Word
 
@@ -59,18 +59,10 @@ CASES = [
     pytest.param(
         lambda: H1Vector(3, (((1, 2, 3), Fraction(1, 2)),)),
         (3, (((1, 2, 3), Fraction(1, 2)),)),
-        [H1Functional(3, (((1, 2, 3), Fraction(1, 2)),))],
+        [TruncatedSeries(3, (((1, 2, 3), Fraction(1, 2)),))],
         False,
         False,
         id="H1Vector",
-    ),
-    pytest.param(
-        lambda: Character((Fraction(1), Fraction(2))),
-        ((Fraction(1), Fraction(2)),),
-        [RAAGWord((1, 2)), Word((1, 2))],
-        False,
-        False,
-        id="Character",
     ),
     pytest.param(
         lambda: TruncatedSeries(2, (((), 1), ((1,), 1))),

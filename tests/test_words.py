@@ -1,10 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from lcsforge.words import (
     EPSILON,
-    GeneratorSymbol,
     Word,
     commutator,
     concat,
@@ -29,9 +29,15 @@ def test_cancellation():
     assert word([1, 2, -2, 1]) == Word((1, 1))
 
 
-def test_reduce_accepts_symbols():
-    letters = [GeneratorSymbol(1, 1), GeneratorSymbol(1, -1)]
-    assert reduce_letters(letters) == ()
+def test_letters_must_be_nonzero_ints():
+    """A letter is taken as it is or refused: nothing is coerced through
+    ``int()``, so floats, strings and bools raise, and so does 0."""
+    assert reduce_letters([1, 2, -2]) == (1,)
+    for bad in ([1.5, "2"], ["2"], [2.0], [True], [1, 0], [Fraction(3)]):
+        with pytest.raises(ValueError, match="a letter is a nonzero int"):
+            word(bad)
+        with pytest.raises(ValueError, match="a letter is a nonzero int"):
+            reduce_letters(bad)
 
 
 def test_reduce_idempotent():
