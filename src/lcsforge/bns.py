@@ -14,9 +14,15 @@ criterion for RAAG membership quoted from the literature on these groups:
 the subgraph induced on the nonvanishing vertices must be connected and
 dominating.
 
-RAAG words are sequences of signed vertex indices.  The normal form first
-removes every cancellable pair (inverse letters separated only by letters
-commuting with them), then rewrites the reduced word to its canonical
+A RAAG word is a plain tuple of nonzero ``int``s: ``+v`` is the vertex
+generator v and ``-v`` its inverse.  ``raag_normal_form`` is the one
+boundary that validates letters: it refuses any letter that is not an
+``int`` within ±1..n.  It first removes every cancellable pair (inverse
+letters separated only by letters commuting with them) in one pass, the
+standard reduction for these groups (Wrathall, J. Symbolic Comput. 1988):
+each letter scans back past the letters it commutes with and cancels the
+first inverse it meets, or else is appended.  With no edges that is the free
+reduction's stack loop.  It then rewrites the reduced word to its canonical
 representative by repeatedly extracting the lowest-indexed letter that
 commutes with everything before it.  Naive adjacent-swap bubbling is not
 confluent for partially commuting alphabets, so the canonical form is
@@ -41,8 +47,6 @@ __all__ = [
     "RAAGPresentation",
     "raag",
     "raag_from_text",
-    "RAAGWord",
-    "raag_word",
     "raag_normal_form",
     "raag_commute",
     "RAAGContext",
@@ -137,58 +141,36 @@ def raag_from_text(text: str) -> RAAGPresentation:
     return raag(count, edges)
 
 
-class RAAGWord:
-    """Word in signed vertex generators (+i / -i); no caller assigns to it."""
-
-    __slots__ = ("letters",)
-
-    def __init__(self, letters: tuple[int, ...] = ()) -> None:
-        if any(v == 0 for v in letters):
-            raise ValueError("0 is not a valid signed letter")
-        self.letters = letters
-
-    def __eq__(self, other) -> bool:
-        return other.__class__ is self.__class__ and self.letters == other.letters
-
-
-def raag_word(letters: Iterable[int]) -> RAAGWord:
-    return RAAGWord(tuple(letters))
-
-
-def _reduce_raag(letters: list[int], g: RAAGPresentation) -> list[int]:
-    """Delete cancellable pairs: inverse letters whose in-between letters all
-    commute with them, repeated to a fixpoint."""
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(letters)):
-            vi = letters[i]
-            for j in range(i + 1, len(letters)):
-                vj = letters[j]
-                if vj == -vi:
-                    between = letters[i + 1 : j]
-                    if all(
-                        abs(u) != abs(vi) and g.adjacent(abs(u), abs(vi))
-                        for u in between
-                    ):
-                        del letters[j]
-                        del letters[i]
-                        changed = True
-                    break
-                if abs(vj) == abs(vi) or not g.adjacent(abs(vj), abs(vi)):
-                    break
-            if changed:
+def _reduce_raag(letters: Iterable[int], g: RAAGPresentation) -> list[int]:
+    """Delete cancellable pairs in one pass: each letter scans back past the
+    kept letters it commutes with, cancels the first inverse it meets, and
+    is otherwise appended.  A deletion leaves no new cancellable pair, since
+    the deleted letter commuted with every kept letter after it."""
+    out: list[int] = []
+    for v in letters:
+        for pos in range(len(out) - 1, -1, -1):
+            u = out[pos]
+            if u == -v:
+                del out[pos]
                 break
-    return letters
+            if abs(u) == abs(v) or not g.adjacent(abs(u), abs(v)):
+                out.append(v)
+                break
+        else:
+            out.append(v)
+    return out
 
 
-def raag_normal_form(w: RAAGWord, g: RAAGPresentation) -> RAAGWord:
+def raag_normal_form(w: Sequence[int], g: RAAGPresentation) -> tuple[int, ...]:
     """Canonical representative: reduce, then greedily extract, among letters
-    movable to the front, the leftmost one of lowest vertex index."""
-    for v in w.letters:
-        if not 1 <= abs(v) <= g.n_vertices:
-            raise ValueError(f"letter {v} escapes vertex range")
-    rest = _reduce_raag(list(w.letters), g)
+    movable to the front, the leftmost one of lowest vertex index.  Every
+    letter must be an ``int`` within ±1..n."""
+    for v in w:
+        if type(v) is not int or not 1 <= abs(v) <= g.n_vertices:
+            raise ValueError(
+                f"a RAAG letter is a nonzero int within ±1..{g.n_vertices}, got {v!r}"
+            )
+    rest = _reduce_raag(w, g)
     out: list[int] = []
     while rest:
         best = None
@@ -201,18 +183,13 @@ def raag_normal_form(w: RAAGWord, g: RAAGPresentation) -> RAAGWord:
                     best = pos
         assert best is not None  # position 0 is always movable
         out.append(rest.pop(best))
-    return RAAGWord(tuple(out))
+    return tuple(out)
 
 
-def _inv_letters(letters: Sequence[int]) -> tuple[int, ...]:
-    return tuple(-v for v in reversed(letters))
-
-
-def raag_commute(u: RAAGWord, v: RAAGWord, g: RAAGPresentation) -> bool:
-    comm = RAAGWord(
-        u.letters + v.letters + _inv_letters(u.letters) + _inv_letters(v.letters)
-    )
-    return raag_normal_form(comm, g) == RAAGWord()
+def raag_commute(u: tuple[int, ...], v: tuple[int, ...], g: RAAGPresentation) -> bool:
+    """Whether the commutator u v u⁻¹ v⁻¹ is the identity."""
+    comm = (*u, *v, *(-x for x in reversed(u)), *(-x for x in reversed(v)))
+    return raag_normal_form(comm, g) == ()
 
 
 class RAAGContext:
@@ -224,8 +201,8 @@ class RAAGContext:
         self.graph = g
         self._commute_cache: dict[tuple, bool] = {}
 
-    def commutes(self, u: RAAGWord, v: RAAGWord) -> bool:
-        key = (u.letters, v.letters) if u.letters <= v.letters else (v.letters, u.letters)
+    def commutes(self, u: tuple[int, ...], v: tuple[int, ...]) -> bool:
+        key = (u, v) if u <= v else (v, u)
         hit = self._commute_cache.get(key)
         if hit is None:
             hit = raag_commute(u, v, self.graph)
@@ -233,13 +210,13 @@ class RAAGContext:
         return hit
 
     def char_values(
-        self, char: tuple[Fraction, ...], ws: Sequence[RAAGWord]
+        self, char: tuple[Fraction, ...], ws: Sequence[tuple[int, ...]]
     ) -> list[Fraction]:
         """The character's value on each word, indexing its vertex values;
         each sum starts from its first term (0 for the empty word)."""
         out = []
         for w in ws:
-            terms = [char[v - 1] if v > 0 else -char[-v - 1] for v in w.letters]
+            terms = [char[v - 1] if v > 0 else -char[-v - 1] for v in w]
             out.append(sum(terms[1:], terms[0]) if terms else 0)
         return out
 
@@ -445,7 +422,7 @@ def soundness_sweep(
     character seen with it, and every character with that support gets
     their verdicts in its own record."""
     ctx = RAAGContext(g)
-    b_elements = [raag_word([v]) for v in g.vertices()]
+    b_elements = [(v,) for v in g.vertices()]
     verdicts: dict[tuple[bool, ...], tuple[bool, bool, str | None]] = {}
     records = []
     for char in chars:

@@ -143,15 +143,6 @@ class CommutingWitness(NamedTuple):
     def counterexamples(self) -> list[tuple[str, str]]:
         return [(u, v) for u, v, flag in self.pairs if not flag]
 
-    def to_json(self) -> dict:
-        return {
-            "left": list(self.left),
-            "right": list(self.right),
-            "conjugator": "identity",
-            "pairs": [list(p) for p in self.pairs],
-            "ok": self.ok,
-        }
-
 
 def check_commuting(family: FIncIA, left, right) -> CommutingWitness:
     """Verify every generator pair across two disjoint index sets commutes,

@@ -211,7 +211,7 @@ class TwoStepWitness(NamedTuple):
     """The middle vertex of a two-edge link: an index set whose subgroup
     commutes elementwise both with the basepoint subgroup and with its
     conjugate by the moving generator.  The conjugator alpha is always the
-    identity, so it is not stored; the JSON writes it as "identity"."""
+    identity, so it is not stored."""
 
     middle: tuple[int, ...]
     base_pairs: tuple[tuple[str, str, bool], ...]
@@ -222,15 +222,6 @@ class TwoStepWitness(NamedTuple):
         return all(f for _, _, f in self.base_pairs) and all(
             f for _, _, f in self.conjugated_pairs
         )
-
-    def to_json(self) -> dict:
-        return {
-            "middle": list(self.middle),
-            "alpha": "identity",
-            "base_pairs": [list(p) for p in self.base_pairs],
-            "conjugated_pairs": [list(p) for p in self.conjugated_pairs],
-            "ok": self.ok,
-        }
 
 
 def two_step_witness(

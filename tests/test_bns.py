@@ -5,6 +5,7 @@ from itertools import combinations, product
 import pytest
 
 from lcsforge import bns
+from lcsforge.words import reduce_letters
 from lcsforge.bns import (
     GRID,
     KMMCertificate,
@@ -21,7 +22,6 @@ from lcsforge.bns import (
     raag_commute,
     raag_from_text,
     raag_normal_form,
-    raag_word,
     soundness_sweep,
 )
 
@@ -32,10 +32,85 @@ PATH3 = raag(3, [(1, 2), (2, 3)])
 def test_normal_form_goldens():
     g_edge = raag(2, [(1, 2)])
     g_none = raag(2, [])
-    assert raag_normal_form(raag_word([2, 1]), g_edge).letters == (1, 2)
-    assert raag_normal_form(raag_word([2, 1]), g_none).letters == (2, 1)
-    assert raag_normal_form(raag_word([1, -1]), g_none).letters == ()
-    assert raag_normal_form(raag_word([1, 2, -1]), g_edge).letters == (2,)
+    assert raag_normal_form((2, 1), g_edge) == (1, 2)
+    assert raag_normal_form((2, 1), g_none) == (2, 1)
+    assert raag_normal_form((1, -1), g_none) == ()
+    assert raag_normal_form((1, 2, -1), g_edge) == (2,)
+    assert type(raag_normal_form([2, 1], g_edge)) is tuple
+
+
+def test_normal_form_refuses_bad_letters():
+    """The normal form is the one boundary for RAAG letters: anything but a
+    nonzero int within ±1..n is refused, not compared or cancelled."""
+    g = raag(3, [(1, 2)])
+    for letters in [(2.0, 1), (1.5, -1.5), (True,), (Fraction(1),), (0,), (1, 4), (-4,)]:
+        with pytest.raises(ValueError, match="a RAAG letter is a nonzero int"):
+            raag_normal_form(letters, g)
+
+
+def fixpoint_reduce(letters, g):
+    """The restart-until-nothing-changes reduction the one pass replaced,
+    kept as the reference: delete one cancellable pair, rescan from the
+    start, until none is left."""
+    letters = list(letters)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(letters)):
+            vi = letters[i]
+            for j in range(i + 1, len(letters)):
+                vj = letters[j]
+                if vj == -vi:
+                    between = letters[i + 1 : j]
+                    if all(
+                        abs(u) != abs(vi) and g.adjacent(abs(u), abs(vi))
+                        for u in between
+                    ):
+                        del letters[j]
+                        del letters[i]
+                        changed = True
+                    break
+                if abs(vj) == abs(vi) or not g.adjacent(abs(vj), abs(vi)):
+                    break
+            if changed:
+                break
+    return letters
+
+
+def _has_cancellable_pair(letters, g):
+    return any(
+        letters[j] == -letters[i]
+        and all(
+            abs(u) != abs(letters[i]) and g.adjacent(abs(u), abs(letters[i]))
+            for u in letters[i + 1 : j]
+        )
+        for i in range(len(letters))
+        for j in range(i + 1, len(letters))
+    )
+
+
+def test_one_pass_reduction_matches_fixpoint(monkeypatch):
+    """On random graphs of rank 1..6 and words of up to 14 letters, the
+    one-pass reduction leaves no cancellable pair and agrees with the
+    fixpoint reference in length and in normal form; with no edges it is
+    free reduction."""
+    rng = random.Random(31)
+    cases = []
+    for _ in range(3000):
+        n = rng.randint(1, 6)
+        pairs = list(combinations(range(1, n + 1), 2))
+        g = raag(n, [p for p in pairs if rng.random() < 0.5])
+        word = tuple(
+            rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(0, 14))
+        )
+        cases.append((g, word))
+        reduced = bns._reduce_raag(word, g)
+        assert not _has_cancellable_pair(reduced, g), (word, g.edges)
+        assert len(reduced) == len(fixpoint_reduce(word, g)), (word, g.edges)
+        assert tuple(bns._reduce_raag(word, raag(n, []))) == reduce_letters(word)
+    one_pass = [raag_normal_form(word, g) for g, word in cases]
+    monkeypatch.setattr(bns, "_reduce_raag", fixpoint_reduce)
+    assert one_pass == [raag_normal_form(word, g) for g, word in cases]
 
 
 def test_normal_form_idempotent_and_swap_invariant():
@@ -45,7 +120,7 @@ def test_normal_form_idempotent_and_swap_invariant():
         letters = [
             rng.choice([1, -1]) * rng.randint(1, 4) for _ in range(rng.randint(0, 8))
         ]
-        nf = raag_normal_form(raag_word(letters), g)
+        nf = raag_normal_form(tuple(letters), g)
         assert raag_normal_form(nf, g) == nf
         # apply a random admissible adjacent swap to the input
         swappable = [
@@ -58,17 +133,17 @@ def test_normal_form_idempotent_and_swap_invariant():
             i = rng.choice(swappable)
             swapped = letters[:]
             swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-            assert raag_normal_form(raag_word(swapped), g) == nf
+            assert raag_normal_form(tuple(swapped), g) == nf
 
 
 def test_raag_equal_and_commute():
     g = raag(2, [(1, 2)])
-    nf = raag_normal_form(raag_word([1, 2]), g)
-    assert nf == raag_normal_form(raag_word([2, 1]), g)
-    assert raag_commute(raag_word([1, 2]), raag_word([2, 1]), g)
+    nf = raag_normal_form((1, 2), g)
+    assert nf == raag_normal_form((2, 1), g)
+    assert raag_commute((1, 2), (2, 1), g)
     g0 = raag(2, [])
-    assert not raag_commute(raag_word([1]), raag_word([2]), g0)
-    assert raag_commute(raag_word([1]), raag_word([1, 1]), g0)
+    assert not raag_commute((1,), (2,), g0)
+    assert raag_commute((1,), (1, 1), g0)
 
 
 def test_presentation_validation():
@@ -117,7 +192,7 @@ def test_character_keys_are_the_vertices():
 def test_kmm_four_cycle_certificate():
     ctx = RAAGContext(FOUR_CYCLE)
     lam = character({v: 1 for v in range(1, 5)})
-    elements = [raag_word([v]) for v in range(1, 5)]
+    elements = [(v,) for v in range(1, 5)]
     out = kmm_check(ctx, lam, elements, elements)
     assert isinstance(out, KMMCertificate)
     assert out.ok
@@ -128,10 +203,7 @@ def test_kmm_four_cycle_certificate():
 def test_kmm_disconnected_failure():
     ctx = RAAGContext(FOUR_CYCLE)
     lam = character({1: 1, 2: 0, 3: 1, 4: 0})
-    out = kmm_check(
-        ctx, lam, [raag_word([1]), raag_word([3])],
-        [raag_word([v]) for v in range(1, 5)],
-    )
+    out = kmm_check(ctx, lam, [(1,), (3,)], [(v,) for v in range(1, 5)])
     assert isinstance(out, KMMFailure)
     assert out.reason == "commutation-graph-disconnected"
     assert not mv_oracle(FOUR_CYCLE, lam)
@@ -140,7 +212,7 @@ def test_kmm_disconnected_failure():
 def test_kmm_failure_modes():
     ctx = RAAGContext(FOUR_CYCLE)
     lam = character({v: 1 for v in range(1, 5)})
-    a = [raag_word([v]) for v in range(1, 5)]
+    a = [(v,) for v in range(1, 5)]
     assert kmm_check(ctx, character({v: 0 for v in range(1, 5)}), a, a).reason == "zero-character"
     assert kmm_check(ctx, lam, [], a).reason == "empty-A"
     dead = character({1: 1, 2: 1, 3: 1, 4: 0})
@@ -149,8 +221,8 @@ def test_kmm_failure_modes():
     out = kmm_check(
         RAAGContext(free2),
         character({1: 1, 2: 0}),
-        [raag_word([1])],
-        [raag_word([1]), raag_word([2])],
+        [(1,)],
+        [(1,), (2,)],
     )
     assert out.reason == "undominated-element"
 
@@ -159,7 +231,7 @@ def char_values_by_fraction_sums(char, ws):
     """The sums char_values replaced, kept as the reference: each started
     from Fraction(0)."""
     return [
-        sum((char[abs(v) - 1] if v > 0 else -char[abs(v) - 1] for v in w.letters), Fraction(0))
+        sum((char[abs(v) - 1] if v > 0 else -char[abs(v) - 1] for v in w), Fraction(0))
         for w in ws
     ]
 
@@ -172,11 +244,9 @@ def test_char_values_match_fraction_sums():
             {v: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for v in range(1, 5)}
         )
         ws = [
-            raag_word(
-                [rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(rng.randint(1, 6))]
-            )
+            tuple(rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(rng.randint(1, 6)))
             for _ in range(5)
-        ] + [raag_word([])]
+        ] + [()]
         got = ctx.char_values(char, ws)
         assert got == char_values_by_fraction_sums(char, ws)
         assert all(isinstance(x, Fraction) for x in got[:-1])
@@ -184,9 +254,7 @@ def test_char_values_match_fraction_sums():
 
 def test_kmm_single_vertex():
     z = raag(1, [])
-    out = kmm_check(
-        RAAGContext(z), character({1: 1}), [raag_word([1])], [raag_word([1])]
-    )
+    out = kmm_check(RAAGContext(z), character({1: 1}), [(1,)], [(1,)])
     assert out.ok
 
 
@@ -266,12 +334,12 @@ def test_soundness_sweep_matches_per_character_route(monkeypatch):
         report = soundness_sweep(g, chars)
 
         ctx = RAAGContext(g)
-        everything = [raag_word([v]) for v in g.vertices()]
+        everything = [(v,) for v in g.vertices()]
         expected = []
         for char in chars:
             if not any(char):
                 continue
-            living = [raag_word([v]) for v in g.vertices() if char[v - 1] != 0]
+            living = [(v,) for v in g.vertices() if char[v - 1] != 0]
             out = kmm_check(ctx, char, living, everything)
             expected.append(
                 SweepRecord(

@@ -75,9 +75,6 @@ def test_check_commuting_disjoint_blocks():
     wit = check_commuting(fam, (1, 2), (3, 4))
     assert wit.ok
     assert len(wit.pairs) == 4
-    payload = wit.to_json()
-    assert payload["ok"] and payload["left"] == [1, 2]
-    assert payload["conjugator"] == "identity"
 
 
 def test_check_commuting_larger_blocks():
